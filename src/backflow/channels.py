@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     EpsilonRangeError,
     NonBijectiveError,
+    NonFiniteError,
     QuadratureError,
     TimeOrderViolationError,
 )
@@ -58,6 +59,10 @@ class RateProfile:
     domain_end: float
     pair_integrals: Callable[[float, float], tuple[float, float, float]] | None = None
     label: str = "custom"
+
+    def __post_init__(self):
+        if math.isnan(self.domain_end):  # +inf is a valid, unbounded domain
+            raise NonFiniteError("domain_end must not be NaN")
 
     def rates(self, t: float) -> np.ndarray:
         return np.asarray(self.evaluate(t), dtype=float)
@@ -97,7 +102,13 @@ def _check_interval(profile: RateProfile, t0: float, t1: float) -> None:
         )
 
 
+def _require_finite(what: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what} must be finite, got {values}")
+
+
 def constant_rates(gx: float, gy: float, gz: float, domain_end: float = math.inf) -> RateProfile:
+    _require_finite("rates", (gx, gy, gz))
     sums = np.array([gy + gz, gx + gz, gx + gy])
 
     def integrals(t0: float, t1: float):
@@ -137,6 +148,8 @@ def table_rates(times: Sequence[float], gammas: Sequence[Sequence[float]]) -> Ra
     gs = np.asarray(gammas, dtype=float)
     if ts.ndim != 1 or gs.shape != (ts.size, 3):
         raise DimensionMismatchError("need times (n,) and gammas (n, 3)")
+    _require_finite("table times", ts)
+    _require_finite("table rates", gs)
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise TimeOrderViolationError("table times must be strictly increasing, n >= 2")
     if ts[0] > _TIME_SLACK:
@@ -166,6 +179,41 @@ def table_rates(times: Sequence[float], gammas: Sequence[Sequence[float]]) -> Ra
         domain_end=float(ts[-1]),
         pair_integrals=integrals,
         label="table",
+    )
+
+
+def splice_rates(
+    head: RateProfile, tail: RateProfile, switch_time: float, tail_origin: float, label: str
+) -> RateProfile:
+    """head before switch_time, then tail read on a clock that starts at tail_origin.
+
+    At time t >= switch_time the rates are tail.evaluate(t - tail_origin);
+    tail_origin = 0 keeps the global clock, tail_origin = switch_time starts
+    the tail afresh at the switch.
+    """
+
+    def evaluate(t: float):
+        if t < switch_time:
+            return head.evaluate(t)
+        return tail.evaluate(t - tail_origin)
+
+    def integrals(t0: float, t1: float):
+        head_part = np.zeros(3)
+        lo, hi = min(t0, switch_time), min(t1, switch_time)
+        if hi > lo:
+            head_part = head.integrate_pair_sums(lo, hi)
+        tail_part = np.zeros(3)
+        if t1 > switch_time:
+            tail_part = tail.integrate_pair_sums(
+                max(t0, switch_time) - tail_origin, t1 - tail_origin
+            )
+        return tuple(head_part + tail_part)
+
+    return RateProfile(
+        evaluate=evaluate,
+        domain_end=tail_origin + tail.domain_end,
+        pair_integrals=integrals,
+        label=label,
     )
 
 
@@ -234,24 +282,6 @@ def compose(later: PauliChannelMap, earlier: PauliChannelMap) -> PauliChannelMap
     return PauliChannelMap(*f)
 
 
-def apply_channel(ch: PauliChannelMap, state):
-    """Apply the map to a single-qubit operator.
-
-    Accepts a DensityMatrix (returns DensityMatrix) or a bare 2x2 array
-    (returns an array). For non-CP maps the output of a bare-array call can
-    fail positivity; that is the caller's concern.
-    """
-    mat = as_matrix(state)
-    if mat.shape != (2, 2):
-        raise DimensionMismatchError("apply_channel acts on single-qubit operators")
-    out = np.zeros((2, 2), dtype=complex)
-    for q, sigma in zip(ch.mixing_weights(), PAULIS):
-        out += q * sigma @ mat @ sigma.conj().T
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(matrix=out, dims=state.dims, _skip_checks=True)
-    return out
-
-
 class ExtendedChannel:
     """identity (x) map on ancilla factors, with the map on the last factor."""
 
@@ -285,10 +315,26 @@ def extend_with_identity(ch: PauliChannelMap, ancilla_dims: Sequence[int]) -> Ex
     return ExtendedChannel(ch, ancilla_dims)
 
 
+def apply_channel(ch: PauliChannelMap, state):
+    """Apply the map to a single-qubit operator.
+
+    Accepts a DensityMatrix (returns DensityMatrix) or a bare 2x2 array
+    (returns an array). For non-CP maps the output of a bare-array call can
+    fail positivity; that is the caller's concern.
+    """
+    ext = ExtendedChannel(ch, ())
+    if isinstance(state, DensityMatrix):
+        return ext.apply_state(state)
+    return ext.apply(state)
+
+
+_PHI_PLUS = max_entangled_state(2).matrix
+_PHI_PLUS.setflags(write=False)
+
+
 def choi_matrix(ch: PauliChannelMap) -> np.ndarray:
     """(id (x) map) applied to |Phi+><Phi+|; normalized to trace 1."""
-    phi = max_entangled_state(2)
-    return extend_with_identity(ch, (2,)).apply(phi.matrix)
+    return extend_with_identity(ch, (2,)).apply(_PHI_PLUS)
 
 
 def choi_eigenvalues(ch: PauliChannelMap) -> np.ndarray:
@@ -399,27 +445,10 @@ def tune_rates_shrink_image(rates: RateProfile, epsilon: float, t_activate: floa
         raise EpsilonRangeError(f"epsilon must be in (0, 1], got {epsilon}")
     if epsilon == 1.0:
         return rates
+    _require_finite("t_activate", t_activate)
     if t_activate <= 0:
         raise TimeOrderViolationError("t_activate must be positive")
     c = -math.log(epsilon) / (2.0 * t_activate)
-    burst_pair = np.array([2.0 * c, 2.0 * c, 2.0 * c])
-
-    def evaluate(t: float):
-        if t < t_activate:
-            return (c, c, c)
-        return rates.evaluate(t)
-
-    def integrals(t0: float, t1: float):
-        lo, hi = min(t0, t_activate), min(t1, t_activate)
-        burst_part = burst_pair * max(0.0, hi - lo)
-        tail_part = np.zeros(3)
-        if t1 > t_activate:
-            tail_part = rates.integrate_pair_sums(max(t0, t_activate), t1)
-        return tuple(burst_part + tail_part)
-
-    return RateProfile(
-        evaluate=evaluate,
-        domain_end=rates.domain_end,
-        pair_integrals=integrals,
-        label=f"burst({epsilon:g})+{rates.label}",
+    return splice_rates(
+        constant_rates(c, c, c), rates, t_activate, 0.0, f"burst({epsilon:g})+{rates.label}"
     )

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -43,7 +42,7 @@ from .errors import (
     ScaleUnderflowError,
 )
 from .linalg import random_density_matrix
-from .mutinfo import _BASIS_STACK, _ball_points, didt_batch, hessian_at_stationary
+from .mutinfo import hessian_at_stationary, neighborhood_didt
 from .probe import detect_backflow
 
 SCHEMA_VERSION = 1
@@ -105,6 +104,17 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 
+# what reading a rate table or building a preset can raise on bad input
+_PROFILE_ERRORS = (
+    BackflowError,
+    csv.Error,
+    IndexError,
+    OSError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
+
 __all__ = [
     "SCENARIOS",
     "SCHEMA_VERSION",
@@ -137,10 +147,7 @@ def _profile_from_spec(spec) -> RateProfile:
     if not isinstance(spec, dict):
         raise ConfigError("profile spec must be a JSON object")
     if "csv" in spec:
-        try:
-            return load_rate_table_csv(str(spec["csv"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"rate table {spec['csv']!r}: {exc}") from exc
+        return load_rate_table_csv(str(spec["csv"]))
     preset = spec.get("preset")
     if preset == "eternal":
         return eternal_rates(domain_end=float(spec.get("domain_end", math.inf)))
@@ -153,17 +160,30 @@ def _profile_from_spec(spec) -> RateProfile:
     if preset == "shrink-burst":
         if "base" not in spec or "epsilon" not in spec or "t_activate" not in spec:
             raise ConfigError("shrink-burst preset needs base, epsilon, t_activate")
-        try:
-            return tune_rates_shrink_image(
-                _profile_from_spec(spec["base"]),
-                float(spec["epsilon"]),
-                float(spec["t_activate"]),
-            )
-        except BackflowError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"shrink-burst preset: {exc}") from exc
+        return tune_rates_shrink_image(
+            _profile_from_spec(spec["base"]),
+            float(spec["epsilon"]),
+            float(spec["t_activate"]),
+        )
     raise ConfigError(f"unknown rate profile preset {preset!r}")
+
+
+def _build_profile(spec) -> RateProfile:
+    """_profile_from_spec with every failure reported as a ConfigError."""
+    try:
+        return _profile_from_spec(spec)
+    except ConfigError:
+        raise
+    except _PROFILE_ERRORS as exc:
+        raise ConfigError(f"profile {spec!r}: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """An integral JSON number as int; 2.0 passes, 2.7, NaN and true do not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -191,18 +211,18 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         t_start = float(grid["t_start"])
         t_end = float(grid["t_end"])
-        steps = int(grid["steps"])
+        steps = _integer(grid["steps"], "grid steps")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     if steps < 2:
         raise ConfigError("grid steps must be at least 2")
-    if not (t_start < t_end) or t_start < 0.0:
-        raise ConfigError("grid needs 0 <= t_start < t_end")
+    if not (0.0 <= t_start < t_end < math.inf):
+        raise ConfigError("grid needs 0 <= t_start < t_end < inf")
 
-    profile = _profile_from_spec(raw.get("profile"))
+    profile = _build_profile(raw.get("profile"))
     switch_time = float(raw.get("switch_time", 1.0))
-    if switch_time <= 0.0:
-        raise ConfigError("switch_time must be positive")
+    if not 0.0 < switch_time < math.inf:
+        raise ConfigError("switch_time must be positive and finite")
     horizon = profile.domain_end
     if scenario == "entanglement-blind":
         horizon = switch_time + profile.domain_end
@@ -214,36 +234,26 @@ def load_config(path: str) -> ScenarioConfig:
         if key not in _DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}")
         value = float(value)
-        if not value > 0.0:
-            raise ConfigError(f"tolerance {key!r} must be positive")
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"tolerance {key!r} must be positive and finite")
         tolerances[key] = value
 
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
     budget_raw = raw.get("budget") or {}
     if not isinstance(budget_raw, dict):
         raise ConfigError("budget must be an object")
-    allowed = {"seeds", "restarts", "max_iterations", "polish_maxfev"}
-    unknown = set(budget_raw) - allowed
+    keys = ("seeds", "max_iterations", "polish_maxfev")
+    unknown = set(budget_raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
     defaults = OptimizerBudget()
-    try:
-        budget = OptimizerBudget(
-            seeds=int(budget_raw.get("seeds", defaults.seeds)),
-            max_iterations=int(budget_raw.get("max_iterations", defaults.max_iterations)),
-            restarts=int(budget_raw.get("restarts", defaults.restarts)),
-            polish_maxfev=int(budget_raw.get("polish_maxfev", defaults.polish_maxfev)),
-            rng_seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad budget: {exc}") from exc
-    if budget.seeds < 1 or budget.max_iterations < 1 or budget.polish_maxfev < 1:
+    counts = {k: _integer(budget_raw.get(k, getattr(defaults, k)), f"budget {k}") for k in keys}
+    if min(counts.values()) < 1:
         raise ConfigError("budget counts must be positive")
-    if budget.restarts < 0:
-        raise ConfigError("budget restarts must be non-negative")
+    budget = OptimizerBudget(**counts, rng_seed=seed)
 
     epsilon = float(raw.get("epsilon", 0.05))
     if not 0.0 < epsilon < 1.0:
@@ -254,7 +264,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("output must be a non-empty file name")
 
     if "prelude" in raw:
-        prelude = _profile_from_spec(raw["prelude"])
+        prelude = _build_profile(raw["prelude"])
     else:
         prelude = constant_rates(2.0, 2.0, 2.0)
     if scenario == "entanglement-blind" and switch_time > prelude.domain_end:
@@ -314,19 +324,12 @@ def _run_divisibility(config: ScenarioConfig, threads: int | None):
 
 def _run_backflow(config: ScenarioConfig, threads: int | None):
     grid = _grid(config)
-    jobs = [(float(a), float(b - a)) for a, b in zip(grid[:-1], grid[1:])]
-
-    def one(job):
-        tau, dt = job
-        return detect_backflow(
-            config.profile, tau, dt, epsilon=config.epsilon, budget=config.budget
+    reports = [
+        detect_backflow(
+            config.profile, float(a), float(b - a), epsilon=config.epsilon, budget=config.budget
         )
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, jobs))
-    else:
-        reports = [one(j) for j in jobs]
+        for a, b in zip(grid[:-1], grid[1:])
+    ]
     rows = [
         (r.tau, r.delta_t, r.c2_before, r.c2_after, r.choi_min_eig,
          r.backflow_detected, r.consistent)
@@ -361,32 +364,18 @@ def _run_hessian(config: ScenarioConfig, threads: int | None):
 
 
 def _run_mutinfo(config: ScenarioConfig, threads: int | None):
-    grid = _grid(config)
-    samples = config.budget.seeds
-    center = np.zeros(15)
     tol = config.tolerances["didt"]
     rows = []
     violated = False
-    sample_id = 0
-    for k, t in enumerate(grid):
-        pts = _ball_points(center, config.epsilon, samples, seed=config.seed + k)
-        mats = 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
-            "ni,iab->nab", pts, _BASIS_STACK[1:]
+    for k, t in enumerate(_grid(config)):
+        values = neighborhood_didt(
+            config.profile, float(t), 0.0, config.epsilon, config.budget.seeds,
+            threads=threads, seed=config.seed + k,
         )
-        if threads is not None and threads > 1:
-            chunks = np.array_split(mats, threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(lambda c: didt_batch(c, config.profile, float(t)), chunks)
-                )
-            values = np.concatenate(parts)
-        else:
-            values = didt_batch(mats, config.profile, float(t))
         for v in values:
             hit = bool(not np.isnan(v) and v > tol)
             violated = violated or hit
-            rows.append((sample_id, float(v), hit))
-            sample_id += 1
+            rows.append((len(rows), float(v), hit))
     if violated:
         return rows, EXIT_INCONSISTENT, "positive dI/dt found inside the scanned neighborhood"
     return rows, EXIT_OK, ""
@@ -400,7 +389,6 @@ def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
         config.switch_time,
         grid,
         epsilon=config.epsilon,
-        threads=threads,
     )
     rows = list(
         zip(report.times, report.negativities, report.choi_min_intermediate, report.c2_values)
@@ -489,7 +477,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker threads; 0 picks the machine default",
+        help="worker threads for the mutinfo-map sample batches (other scenarios "
+        "run serially); 0 picks the machine default",
     )
     run_parser.add_argument("--verbose", action="store_true", help="progress to stderr")
     args = parser.parse_args(argv)

@@ -244,7 +244,6 @@ def guessing_probability_two(state_a: DensityMatrix, state_b: DensityMatrix) -> 
 class OptimizerBudget:
     seeds: int = 8
     max_iterations: int = 300
-    restarts: int = 2
     polish_maxfev: int = 600
     rng_seed: int = 0
 
@@ -278,8 +277,9 @@ def guessing_probability_bruteforce(
 
     Iterates the discrimination map P_i <- L^{-1/2} W_i P_i W_i L^{-1/2} with
     L = sum_j W_j P_j W_j and W_i = p_i rho_i, from a pretty-good-measurement
-    seed plus seeded random restarts; keeps the best payoff seen. For two
-    states this lands on the Helstrom value to ~1e-10.
+    seed, a uniform and a guess-the-prior start, and budget.seeds - 2 seeded
+    random starts; keeps the best payoff seen. For two states this lands on
+    the Helstrom value to ~1e-10.
     """
     budget = budget or OptimizerBudget()
     ws = [m.probability * m.state.matrix for m in ensemble.members]

@@ -11,7 +11,6 @@ backflow survives even though every probe state stays PPT.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,21 +22,15 @@ from .channels import (
     choi_matrix,
     choi_min_eigenvalue,
     decay_factors,
-    extend_with_identity,
     intermediate_map,
     is_cp,
     is_cp_divisible_at,
     is_p_divisible_at,
+    splice_rates,
 )
 from .errors import DimensionMismatchError, PreconditionError
-from .linalg import DensityMatrix, max_entangled_state, partial_transpose, trace_norm
-from .probe import (
-    BackflowReport,
-    _best_direction,
-    _pair_distance_at,
-    detect_backflow,
-    pull_back_pair,
-)
+from .linalg import DensityMatrix, partial_transpose, trace_norm
+from .probe import BackflowReport, detect_backflow
 
 NEGATIVITY_TOL = 1e-10
 INTERMEDIATE_NEG_TOL = 1e-8
@@ -83,39 +76,6 @@ def is_entanglement_breaking(ch: PauliChannelMap) -> bool:
     if not is_cp(ch):
         return False
     return _negativity_raw(choi, (2, 2)) <= NEGATIVITY_TOL
-
-
-def _composite_profile(
-    prelude: RateProfile, continuation: RateProfile, switch_time: float
-) -> RateProfile:
-    # t >= switch is governed by the continuation in its own clock.
-    def evaluate(t: float) -> np.ndarray:
-        if t < switch_time:
-            return np.asarray(prelude.evaluate(t), dtype=float)
-        return np.asarray(continuation.evaluate(t - switch_time), dtype=float)
-
-    def integrals(t0: float, t1: float) -> tuple[float, float, float]:
-        head = np.zeros(3)
-        lo, hi = min(t0, switch_time), min(t1, switch_time)
-        if hi > lo:
-            head = np.asarray(prelude.integrate_pair_sums(lo, hi), dtype=float)
-        tail = np.zeros(3)
-        if t1 > switch_time:
-            tail = np.asarray(
-                continuation.integrate_pair_sums(
-                    max(t0, switch_time) - switch_time, t1 - switch_time
-                ),
-                dtype=float,
-            )
-        total = head + tail
-        return (float(total[0]), float(total[1]), float(total[2]))
-
-    return RateProfile(
-        evaluate=evaluate,
-        domain_end=switch_time + continuation.domain_end,
-        pair_integrals=integrals,
-        label=f"{prelude.label}->{continuation.label}@{switch_time:g}",
-    )
 
 
 @dataclass(frozen=True)
@@ -174,14 +134,21 @@ def scenario_entanglement_blind(
     naming the failing clause.  The report carries, per grid time, the
     negativity of the evolved maximally entangled probe, the minimal
     Choi eigenvalue of the intermediate map over the following grid
-    step, and the pair distance of the backflow probe pair.
+    step, and the pair distance of the backflow probe pair. threads is
+    accepted and ignored; only the mutinfo sample batches use threads.
     """
-    if switch_time <= 0.0:
-        raise PreconditionError("switch time must be positive")
+    if not 0.0 < switch_time < math.inf:
+        raise PreconditionError("switch time must be positive and finite")
     if switch_time > prelude_rates.domain_end:
         raise PreconditionError("prelude domain must cover the switch time")
     times = np.asarray(grid, dtype=float)
-    composite = _composite_profile(prelude_rates, continuation_rates, switch_time)
+    composite = splice_rates(
+        prelude_rates,
+        continuation_rates,
+        switch_time,
+        switch_time,
+        f"{prelude_rates.label}->{continuation_rates.label}@{switch_time:g}",
+    )
     _validate_grid(times, switch_time, composite.domain_end)
 
     for t in np.linspace(0.0, switch_time, _PRE_SAMPLES):
@@ -208,15 +175,11 @@ def scenario_entanglement_blind(
             "continuation must have a negative rate somewhere on the grid horizon"
         )
 
-    phi = max_entangled_state(2)
     n = times.size
 
     def row(i: int) -> tuple[float, float]:
         t = float(times[i])
-        evolved = extend_with_identity(decay_factors(composite, 0.0, t), (2,)).apply(
-            phi.matrix
-        )
-        neg = _negativity_raw(evolved, (2, 2))
+        neg = _negativity_raw(choi_matrix(decay_factors(composite, 0.0, t)), (2, 2))
         if i + 1 < n:
             upper = float(times[i + 1])
         else:
@@ -227,13 +190,7 @@ def scenario_entanglement_blind(
             chi = 0.0
         return neg, chi
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(n)))
-    else:
-        rows = [row(i) for i in range(n)]
-    negativities = tuple(r[0] for r in rows)
-    choi_mins = tuple(r[1] for r in rows)
+    negativities, choi_mins = zip(*[row(i) for i in range(n)])
 
     after = times >= switch_time - 1e-12
     blind = bool(np.all(np.asarray(negativities)[after] <= NEGATIVITY_TOL))
@@ -251,12 +208,8 @@ def scenario_entanglement_blind(
         ti = float(times[tau_star])
         dt = float(times[tau_star + 1]) - ti
         backflow = detect_backflow(composite, ti, dt, epsilon=epsilon)
-        direction = _best_direction(intermediate_map(composite, ti, ti + dt))
-        if direction is not None:
-            pair = pull_back_pair(direction, composite, ti, epsilon=epsilon)
-            c2_values = tuple(
-                _pair_distance_at(pair, composite, float(t)) for t in times
-            )
+        if backflow.pair is not None:
+            c2_values = tuple(backflow.pair.distance_at(composite, float(t)) for t in times)
 
     return EntanglementBlindReport(
         switch_time=float(switch_time),

@@ -31,6 +31,10 @@ class TimeOrderViolationError(BackflowError):
     """Times violate 0 <= t0 <= t1 <= domain end."""
 
 
+class NonFiniteError(BackflowError):
+    """A rate or time that must be a finite number is NaN or infinite."""
+
+
 class QuadratureError(BackflowError):
     """Rate integration did not reach the requested tolerance."""
 

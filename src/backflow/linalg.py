@@ -87,6 +87,8 @@ class DensityMatrix:
             )
         if self._skip_checks:
             return
+        if not np.all(np.isfinite(mat)):
+            raise InvalidStateError("density matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > STATE_HERMITICITY_TOL:
             raise InvalidStateError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > STATE_TRACE_TOL or abs(np.trace(mat).imag) > STATE_TRACE_TOL:

@@ -566,6 +566,37 @@ def _ball_points(center: np.ndarray, radius: float, samples: int, seed: int) -> 
     return center[None, :] + (gauss / lengths[:, None]) * radial[:, None]
 
 
+def neighborhood_didt(
+    rates: RateProfile,
+    t: float,
+    a_12: float,
+    radius: float,
+    samples: int,
+    threads: int | None = None,
+    seed: int = 0,
+) -> np.ndarray:
+    """dI/dt at each sampled neighbourhood state of the stationary state.
+
+    Samples live on the coordinate 15-ball of the given radius around the
+    stationary state; entries whose state leaves the interior of the state
+    set are NaN. With threads > 1 the samples are split into that many
+    batches evaluated in parallel; the values do not depend on it.
+    """
+    if abs(a_12) >= 0.25 - BOUNDARY_MARGIN:
+        raise BoundaryParameterError("a_12 must sit strictly inside (-1/4, 1/4)")
+    center = np.zeros(15)
+    center[11] = a_12  # coordinate a_12 of the 15 free entries a_1..a_15
+    pts = _ball_points(center, radius, samples, seed)
+    mats = 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
+        "ni,iab->nab", pts, _BASIS_STACK[1:]
+    )
+    if threads and threads > 1:
+        chunks = np.array_split(mats, threads)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.concatenate(list(pool.map(lambda c: didt_batch(c, rates, t), chunks)))
+    return didt_batch(mats, rates, t)
+
+
 def neighborhood_scan(
     rates: RateProfile,
     t: float,
@@ -578,27 +609,10 @@ def neighborhood_scan(
 ) -> NeighborhoodScanReport:
     """Fraction of sampled neighbourhood states with didt above tolerance.
 
-    Samples live on the coordinate 15-ball of the given radius around the
-    stationary state, intersected with the interior of the state set; points
-    that leave the state set are dropped from the denominator.
+    Summarizes neighborhood_didt: points that leave the state set are
+    dropped from the denominator.
     """
-    if abs(a_12) >= 0.25 - BOUNDARY_MARGIN:
-        raise BoundaryParameterError("a_12 must sit strictly inside (-1/4, 1/4)")
-    center = np.zeros(15)
-    center[11] = a_12  # coordinate a_12 of the 15 free entries a_1..a_15
-    pts = _ball_points(center, radius, samples, seed)
-    mats = 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
-        "ni,iab->nab", pts, _BASIS_STACK[1:]
-    )
-
-    if threads and threads > 1:
-        chunks = np.array_split(mats, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: didt_batch(c, rates, t), chunks))
-        values = np.concatenate(parts)
-    else:
-        values = didt_batch(mats, rates, t)
-
+    values = neighborhood_didt(rates, t, a_12, radius, samples, threads=threads, seed=seed)
     valid = ~np.isnan(values)
     n_valid = int(valid.sum())
     if n_valid == 0:

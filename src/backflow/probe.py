@@ -15,8 +15,7 @@ expansion ratio is one plus the negative part of the Choi spectrum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .channels import (
     PauliChannelMap,
     RateProfile,
+    choi_matrix,
     choi_min_eigenvalue,
     decay_factors,
     extend_with_identity,
@@ -78,6 +78,11 @@ class ProbePair:
                 "pair separation exceeds the declared perturbation scale"
             )
 
+    def distance_at(self, rates: RateProfile, t: float) -> float:
+        """Closed form: C2 of the evolved probe equals 1/4 ||rho1(t) - rho2(t)||_1."""
+        ch = extend_with_identity(decay_factors(rates, 0.0, t), (self.rho1_0.dims[0],))
+        return 0.25 * trace_norm(ch.apply(self.rho1_0.matrix - self.rho2_0.matrix))
+
 
 @dataclass(frozen=True)
 class ProbeState:
@@ -97,6 +102,8 @@ class BackflowReport:
     backflow_detected: bool
     consistent: bool
     inconclusive: bool = False
+    # the probe pair behind c2_before/c2_after; None when no direction expands
+    pair: ProbePair | None = field(default=None, compare=False, repr=False)
 
 
 def _traceless(mat: np.ndarray) -> np.ndarray:
@@ -133,8 +140,7 @@ def trace_norm_expansion_direction(
     dim = 2 * ancilla_dim
 
     phi = max_entangled_state(2).matrix
-    choi = extend_with_identity(ch, (2,)).apply(phi)
-    w_choi, v_choi = np.linalg.eigh(choi)
+    w_choi, v_choi = np.linalg.eigh(choi_matrix(ch))
     chi = v_choi[:, 0]
     chi_proj = np.outer(chi, chi.conj())
     tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # Tr_A' |chi><chi|
@@ -259,13 +265,6 @@ def evolve_probe(ps: ProbeState, rates: RateProfile, t: float) -> ProbeState:
     return ProbeState(matrix=evolved, pair=ps.pair)
 
 
-def _pair_distance_at(pair: ProbePair, rates: RateProfile, t: float) -> float:
-    """Closed form: C2 of the evolved probe equals 1/4 ||rho1(t) - rho2(t)||_1."""
-    ch = extend_with_identity(decay_factors(rates, 0.0, t), (pair.rho1_0.dims[0],))
-    diff = ch.apply(pair.rho1_0.matrix - pair.rho2_0.matrix)
-    return 0.25 * trace_norm(diff)
-
-
 def _best_direction(ch: PauliChannelMap) -> np.ndarray | None:
     """Qubit-ancilla search first, three-level construction when it is weak."""
     direction = None
@@ -318,8 +317,8 @@ def detect_backflow(
 
     pair = pull_back_pair(direction, rates, tau, epsilon)
     probe = build_probe_state(pair)
-    c2_closed_before = _pair_distance_at(pair, rates, tau)
-    c2_closed_after = _pair_distance_at(pair, rates, tau + delta_t)
+    c2_closed_before = pair.distance_at(rates, tau)
+    c2_closed_after = pair.distance_at(rates, tau + delta_t)
 
     crosscheck_ok = True
     for t_eval, want in ((tau, c2_closed_before), (tau + delta_t, c2_closed_after)):
@@ -338,6 +337,7 @@ def detect_backflow(
         backflow_detected=backflow,
         consistent=backflow == (not cp),
         inconclusive=not crosscheck_ok,
+        pair=pair,
     )
 
 
@@ -349,13 +349,12 @@ def scan_backflow_grid(
     budget: OptimizerBudget | None = None,
     threads: int | None = None,
 ) -> list[BackflowReport]:
-    """detect_backflow over the (tau, delta_t) product grid, row-major order."""
-    points = [(float(tau), float(dt)) for tau in taus for dt in delta_ts]
+    """detect_backflow over the (tau, delta_t) product grid, row-major order.
 
-    def run(point: tuple[float, float]) -> BackflowReport:
-        return detect_backflow(rates, point[0], point[1], epsilon=epsilon, budget=budget)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, points))
-    return [run(p) for p in points]
+    threads is accepted and ignored; only the mutinfo sample batches use threads.
+    """
+    return [
+        detect_backflow(rates, float(tau), float(dt), epsilon=epsilon, budget=budget)
+        for tau in taus
+        for dt in delta_ts
+    ]

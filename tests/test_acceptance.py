@@ -303,7 +303,7 @@ def test_criterion_8_oracle_agreements():
     detail = ""
     try:
         rng = np.random.default_rng(8)
-        budget = OptimizerBudget(seeds=4, max_iterations=250, restarts=1, rng_seed=5)
+        budget = OptimizerBudget(seeds=4, max_iterations=250, rng_seed=5)
         worst_pg = 0.0
         for _ in range(200):
             dim = int(rng.integers(2, 4))

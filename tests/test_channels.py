@@ -38,6 +38,7 @@ from backflow.errors import (
     DimensionMismatchError,
     EpsilonRangeError,
     NonBijectiveError,
+    NonFiniteError,
     TimeOrderViolationError,
 )
 from backflow.linalg import (
@@ -349,3 +350,36 @@ class TestTuneRates:
         want_tail = 1.0 * 0.6
         got = tuned.integrate_pair_sums(0.4, 1.6)
         assert np.allclose(got, want_burst + want_tail, atol=1e-13)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: constant_rates(1.0, 1.0, math.nan),
+            lambda: constant_rates(1.0, math.inf, 1.0),
+            lambda: constant_rates(1.0, 1.0, 1.0, domain_end=math.nan),
+            lambda: eternal_rates(domain_end=math.nan),
+            lambda: table_rates([0.0, math.nan], [[1.0, 1.0, 1.0]] * 2),
+            lambda: table_rates([0.0, 1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, math.nan]]),
+            lambda: tune_rates_shrink_image(eternal_rates(), 0.1, t_activate=math.nan),
+            lambda: tune_rates_shrink_image(eternal_rates(), 0.1, t_activate=math.inf),
+        ],
+        ids=[
+            "constant-nan-rate",
+            "constant-inf-rate",
+            "constant-nan-domain",
+            "eternal-nan-domain",
+            "table-nan-time",
+            "table-nan-rate",
+            "burst-nan-activate",
+            "burst-inf-activate",
+        ],
+    )
+    def test_raises(self, build):
+        with pytest.raises(NonFiniteError):
+            build()
+
+    def test_infinite_domain_end_allowed(self):
+        assert constant_rates(1.0, 1.0, 1.0).domain_end == math.inf
+        assert eternal_rates().domain_end == math.inf

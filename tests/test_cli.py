@@ -93,6 +93,7 @@ class TestConfigValidation:
             lambda c: c.__setitem__("budget", {"surprise": 2}),
             lambda c: c.__setitem__("output", ""),
             lambda c: c.__setitem__("switch_time", -1.0),
+            lambda c: c.__setitem__("budget", {"restarts": 1}),
         ],
     )
     def test_rejects_bad_fields(self, tmp_path, mutate):
@@ -135,6 +136,79 @@ class TestConfigValidation:
         cfg["profile"] = {"csv": str(table)}
         loaded = load_config(write_config(tmp_path, cfg))
         assert np.allclose(loaded.profile.rates(1.0), [1.0, 1.0, 1.0])
+
+
+def _rate_table(tmp_path, body: str) -> dict:
+    table = tmp_path / "rates.csv"
+    table.write_text("t,gamma_x,gamma_y,gamma_z\n" + body)
+    return {"csv": str(table)}
+
+
+class TestNonFiniteAndNonIntegralInput:
+    """Input that is not finite or not integral is a config error: exit 1, no CSV."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c, d: c.__setitem__(
+                "profile", {"preset": "constant", "rates": [1.0, 1.0, float("nan")]}
+            ),
+            lambda c, d: c.__setitem__(
+                "profile",
+                {
+                    "preset": "shrink-burst",
+                    "epsilon": 0.1,
+                    "t_activate": float("nan"),
+                    "base": {"preset": "eternal"},
+                },
+            ),
+            lambda c, d: c.__setitem__(
+                "profile", _rate_table(d, "0.0,1.0,1.0,nan\n2.0,1.0,1.0,1.0\n")
+            ),
+            lambda c, d: c.__setitem__(
+                "profile", _rate_table(d, "0.0,1.0,1.0,1.0\nnan,1.0,1.0,1.0\n2.0,1.0,1.0,1.0\n")
+            ),
+            lambda c, d: c.__setitem__(
+                "profile", _rate_table(d, "0.0,1.0,1.0,1.0\n2.0,1.0,1.0,1.0\n1.0,1.0,1.0,1.0\n")
+            ),
+            lambda c, d: c.__setitem__("seed", 1.5),
+            lambda c, d: c["grid"].__setitem__("steps", 2.7),
+            lambda c, d: c.__setitem__("seed", True),
+            lambda c, d: c.__setitem__("budget", {"seeds": 4.5}),
+            lambda c, d: c.__setitem__("switch_time", float("nan")),
+            lambda c, d: c.__setitem__(
+                "profile", {"preset": "eternal", "domain_end": float("nan")}
+            ),
+            lambda c, d: c["grid"].__setitem__("t_end", float("inf")),
+        ],
+        ids=[
+            "constant-nan-rate",
+            "burst-nan-activate",
+            "table-nan-rate",
+            "table-nan-time",
+            "table-times-not-increasing",
+            "fractional-seed",
+            "fractional-steps",
+            "boolean-seed",
+            "fractional-budget",
+            "nan-switch-time",
+            "nan-domain-end",
+            "infinite-grid-end",
+        ],
+    )
+    def test_exits_config_without_csv(self, tmp_path, capsys, mutate):
+        cfg = base_config("divisibility-scan")
+        mutate(cfg, tmp_path)
+        assert run_cli(tmp_path, cfg) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_integral_floats_are_accepted(self, tmp_path):
+        cfg = base_config("divisibility-scan")
+        cfg["seed"] = 3.0
+        cfg["grid"]["steps"] = 4.0
+        loaded = load_config(write_config(tmp_path, cfg))
+        assert (loaded.seed, loaded.steps) == (3, 4)
 
 
 class TestScenarioRuns:

@@ -44,7 +44,7 @@ from backflow.linalg import (
     trace_norm,
 )
 
-SMALL_BUDGET = OptimizerBudget(seeds=4, max_iterations=200, restarts=1)
+SMALL_BUDGET = OptimizerBudget(seeds=4, max_iterations=200)
 
 
 def diag_state(*vals: float) -> DensityMatrix:

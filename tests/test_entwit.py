@@ -190,6 +190,18 @@ class TestScenario:
             want = choi_min_eigenvalue(intermediate_map(cont, t0, t1))
             assert rep.choi_min_intermediate[i] == pytest.approx(want, abs=1e-12)
 
+    def test_direction_search_runs_once(self, monkeypatch, canonical_report):
+        import backflow.probe as probe
+
+        calls = []
+        search = probe._best_direction
+        monkeypatch.setattr(probe, "_best_direction", lambda ch: calls.append(ch) or search(ch))
+        rep = scenario_entanglement_blind(
+            constant_rates(2.0, 2.0, 2.0), eternal_rates(), 1.0, CANON_GRID
+        )
+        assert len(calls) == 1
+        assert rep == canonical_report
+
     def test_threaded_run_identical(self, canonical_report):
         rep = scenario_entanglement_blind(
             constant_rates(2.0, 2.0, 2.0),
@@ -256,6 +268,7 @@ class TestScenario:
                 CANON_GRID,
                 "continuation domain",
             ),
+            (constant_rates(2.0, 2.0, 2.0), eternal_rates(), np.nan, CANON_GRID, "finite"),
         ],
     )
     def test_preconditions(self, prelude, continuation, switch, grid, match):

@@ -101,6 +101,18 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))
 
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.full((2, 2), np.nan, dtype=complex),
+            np.diag([np.inf, 0.5]).astype(complex),
+        ],
+        ids=["all-nan", "inf-entry"],
+    )
+    def test_rejects_non_finite(self, mat):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(mat, (2,))
+
     def test_tiny_negative_eigenvalue_tolerated(self):
         # The PSD check uses a -1e-10 floor so optimizer round-off survives.
         mat = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,17 @@ class TestDetectBackflow:
         assert not report.backflow_detected
         assert report.consistent
         assert not report.inconclusive
+
+    def test_report_carries_its_probe_pair(self):
+        report = detect_backflow(ETERNAL, 0.5, 0.5)
+        assert report.pair.distance_at(ETERNAL, 0.5) == report.c2_before
+        assert report.pair.distance_at(ETERNAL, 1.0) == report.c2_after
+        # the pair holds arrays, so it stays out of equality and repr
+        assert dataclasses.replace(report, pair=None) == report
+        assert "pair" not in repr(report)
+
+    def test_no_expanding_direction_leaves_no_pair(self):
+        assert detect_backflow(constant_rates(1.0, 1.0, 1.0), 0.3, 0.5).pair is None
 
     def test_time_order_violations(self):
         with pytest.raises(TimeOrderViolationError):
