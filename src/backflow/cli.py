@@ -186,6 +186,14 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float:
+    """value as float; what float() refuses (null, "abc", a list) is a ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario config; ConfigError on any defect."""
     try:
@@ -220,7 +228,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("grid needs 0 <= t_start < t_end < inf")
 
     profile = _build_profile(raw.get("profile"))
-    switch_time = float(raw.get("switch_time", 1.0))
+    switch_time = _number(raw.get("switch_time", 1.0), "switch_time")
     if not 0.0 < switch_time < math.inf:
         raise ConfigError("switch_time must be positive and finite")
     horizon = profile.domain_end
@@ -230,10 +238,13 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"t_end {t_end:g} exceeds the profile domain {horizon:g}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    for key, value in (raw.get("tolerances") or {}).items():
+    tolerances_raw = raw.get("tolerances") or {}
+    if not isinstance(tolerances_raw, dict):
+        raise ConfigError("tolerances must be an object")
+    for key, value in tolerances_raw.items():
         if key not in _DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}")
-        value = float(value)
+        value = _number(value, f"tolerance {key!r}")
         if not 0.0 < value < math.inf:
             raise ConfigError(f"tolerance {key!r} must be positive and finite")
         tolerances[key] = value
@@ -255,7 +266,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("budget counts must be positive")
     budget = OptimizerBudget(**counts, rng_seed=seed)
 
-    epsilon = float(raw.get("epsilon", 0.05))
+    epsilon = _number(raw.get("epsilon", 0.05), "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
 

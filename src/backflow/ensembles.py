@@ -7,10 +7,13 @@ the correlation quantifier built from them: the best guessing probability over
 equiprobable measurements minus the blind-guess baseline 1/2.
 
 Two-output measurements on a qubit side reduce to a search over the Bloch
-sphere, which is what makes the optimizer here reliable enough to compare
-against closed forms at 1e-6. Larger measured sides use a penalty search over
-a traceless Hermitian operator basis, kept honest by an exact feasibility
-projection before any value is reported.
+sphere. A batched minorize-maximize search refines a stack of starting
+directions together, one stacked eigensolve per step, and no step lowers any
+start; that is what makes it reliable enough to compare against closed forms
+at 1e-6. Two-output measurements on larger sides use a monotone alternating
+ascent. More outputs use a penalty search over a traceless Hermitian operator
+basis, kept honest by an exact feasibility projection before any value is
+reported.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class Povm:
         for e in effs:
             if e.shape != (dim, dim):
                 raise DimensionMismatchError("POVM effects must share one dimension")
+            if not np.all(np.isfinite(e)):
+                raise DimensionMismatchError("POVM effect has non-finite entries")
             if np.max(np.abs(e - e.conj().T)) > 1e-12:
                 raise DimensionMismatchError("POVM effect is not Hermitian")
             if np.linalg.eigvalsh(e)[0] < -1e-10:
@@ -407,47 +412,85 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.asarray(pts)
 
 
+def _unit_rows(x: np.ndarray, fallback) -> np.ndarray:
+    """Each row of x scaled to unit length; zero rows become the fallback."""
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.where(norm > 0.0, x / np.where(norm > 0.0, norm, 1.0), fallback)
+
+
+def _sphere_argmax(g: np.ndarray, r_bloch: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise unit maximiser of g.u / (1 + |r.u|), starting from directions v.
+
+    Dropping the part of u outside span{g, r} and rescaling to unit length
+    raises the ratio wherever g.u > 0, so the maximiser lies in that plane.
+    Write r = (r.g^) g^ + e u2 with u2 a unit vector orthogonal to g^. On each
+    side of the kink r.u = 0 the stationary point with g.u > 0 is
+    sqrt(1 - e^2) g^ -/+ e u2; on the kink circle the best point is g projected
+    onto r-perp, and the other kink point has g.u <= 0. The current direction
+    competes too, so a tie (g = 0 makes every candidate worth 0) keeps it.
+    """
+    g_hat = _unit_rows(g, v)
+    r_perp = r_bloch - (g_hat @ r_bloch)[:, None] * g_hat
+    e = np.minimum(np.linalg.norm(r_perp, axis=1, keepdims=True), 1.0)
+    u2 = _unit_rows(r_perp, 0.0)
+    c = np.sqrt(1.0 - e * e)
+    r_hat = _unit_rows(r_bloch, 0.0)
+    kink = _unit_rows(g - np.outer(g @ r_hat, r_hat), g_hat)
+    cands = np.stack([v, c * g_hat - e * u2, c * g_hat + e * u2, kink], axis=1)
+    cands = _unit_rows(cands, v[:, None])
+    surrogate = np.einsum("nk,nck->nc", g, cands) / (1.0 + np.abs(cands @ r_bloch))
+    return cands[np.arange(len(cands)), np.argmax(surrogate, axis=1)]
+
+
 def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
                          budget: OptimizerBudget | None = None) -> float:
     """Best equiprobable-measurement value when the measured side is a qubit.
 
     An equiprobable effect is a*1 + b v.sigma with a pinned by the constraint,
     and the prepared-ensemble objective is linear in b, so the optimum sits at
-    the largest feasible b for each direction v: a two-parameter search on the
-    sphere.
+    the largest feasible b for each unit direction v:
+    f(v) = ||H(v)||_1 / (2 (1 + |r.v|)) with H(v) = sum_k v_k A_k,
+    A_k = K_k - r_k rho_rest, K_k the conditional kernel of sigma_k and r the
+    measured side's Bloch vector.
+
+    A 64-point Fibonacci grid is scored with one stacked eigensolve and its six
+    best points are refined together by minorize-maximize steps. With
+    W = sign(H(v)) and g_k = Tr(W A_k), g.u / (2 (1 + |r.u|)) lies below f(u)
+    (Tr(W H) <= ||H||_1) and touches it at v, so jumping to its exact maximiser
+    (_sphere_argmax) never lowers f. Each step costs one stacked eigensolve
+    over the starts; the search stops once no start gains more than 1e-15, or
+    after budget.polish_maxfev steps. Every value reported is f at a unit
+    direction, so a valid equiprobable measurement attains it.
     """
     budget = budget or OptimizerBudget()
     mat, d_meas, d_rest = _bipartition(state, measured)
     if d_meas != 2:
         raise DimensionMismatchError("qubit path requires a 2-dimensional measured side")
-    kernels = [_conditional_kernel(mat, 2, d_rest, PAULIS[k]) for k in range(4)]
+    kernels = [_conditional_kernel(mat, 2, d_rest, p) for p in PAULIS]
     rho_rest = kernels[0]
-    r_bloch = np.array([float(np.trace(kernels[k]).real) for k in (1, 2, 3)])
+    r_bloch = np.array([float(np.trace(k).real) for k in kernels[1:]])
+    ops = np.stack([k - r * rho_rest for k, r in zip(kernels[1:], r_bloch)])
+    ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
 
-    def value(v: np.ndarray) -> float:
-        v = v / np.linalg.norm(v)
-        mixed = v[0] * kernels[1] + v[1] * kernels[2] + v[2] * kernels[3]
-        vr = float(v @ r_bloch)
-        diff = mixed - vr * rho_rest
-        return trace_norm(0.5 * (diff + diff.conj().T)) / (2.0 * (1.0 + abs(vr)))
+    def spectra(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w, u = np.linalg.eigh(np.tensordot(v, ops, axes=1))
+        return np.abs(w).sum(axis=1) / (2.0 * (1.0 + np.abs(v @ r_bloch))), w, u
 
-    grid = _fibonacci_sphere(32)
-    vals = [value(v) for v in grid]
-    order = np.argsort(vals)[::-1]
-    best = float(vals[order[0]])
-    for idx in order[:3]:
-        v0 = grid[idx]
-        th0 = math.acos(max(-1.0, min(1.0, v0[2])))
-        ph0 = math.atan2(v0[1], v0[0])
-
-        def neg(p: np.ndarray) -> float:
-            th, ph = p
-            v = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-            return -value(v)
-
-        res = minimize(neg, x0=[th0, ph0], method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": budget.polish_maxfev})
-        best = max(best, float(-res.fun))
+    v = _fibonacci_sphere(64)
+    vals, w, u = spectra(v)
+    top = np.argsort(vals)[::-1][:6]
+    v, vals, w, u = v[top], vals[top], w[top], u[top]
+    best = float(vals[0])
+    for _ in range(budget.polish_maxfev):
+        signs = (u * np.sign(w)[:, None, :]) @ u.conj().swapaxes(1, 2)
+        g = np.einsum("nij,kji->nk", signs, ops).real
+        v = _sphere_argmax(g, r_bloch, v)
+        new, w, u = spectra(v)
+        gain = float(np.max(new - vals))
+        vals = new
+        best = max(best, float(new.max()))
+        if gain <= 1e-15:
+            break
     return best
 
 

@@ -180,6 +180,14 @@ class TestNonFiniteAndNonIntegralInput:
                 "profile", {"preset": "eternal", "domain_end": float("nan")}
             ),
             lambda c, d: c["grid"].__setitem__("t_end", float("inf")),
+            lambda c, d: c.__setitem__("epsilon", "abc"),
+            lambda c, d: c.__setitem__("epsilon", None),
+            lambda c, d: c.__setitem__("switch_time", "abc"),
+            lambda c, d: c.__setitem__("switch_time", None),
+            lambda c, d: c.__setitem__("tolerances", {"band": "abc"}),
+            lambda c, d: c.__setitem__("tolerances", {"band": None}),
+            lambda c, d: c.__setitem__("tolerances", {"band": [1e-8]}),
+            lambda c, d: c.__setitem__("tolerances", [1e-8]),
         ],
         ids=[
             "constant-nan-rate",
@@ -194,6 +202,14 @@ class TestNonFiniteAndNonIntegralInput:
             "nan-switch-time",
             "nan-domain-end",
             "infinite-grid-end",
+            "string-epsilon",
+            "null-epsilon",
+            "string-switch-time",
+            "null-switch-time",
+            "string-tolerance",
+            "null-tolerance",
+            "list-tolerance",
+            "tolerances-not-object",
         ],
     )
     def test_exits_config_without_csv(self, tmp_path, capsys, mutate):

@@ -33,6 +33,7 @@ from backflow.errors import (
     SubsystemIndexError,
 )
 from backflow.linalg import (
+    PAULIS,
     DensityMatrix,
     as_matrix,
     max_entangled_state,
@@ -149,6 +150,11 @@ class TestPovmValidation:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Povm(effects=(np.eye(2, dtype=complex), np.zeros((3, 3), dtype=complex)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            Povm(effects=(np.full((2, 2), bad), np.eye(2)))
 
     def test_valid_povm_properties(self):
         povm = Povm(effects=(np.diag([1.0, 0.0]).astype(complex),
@@ -442,6 +448,89 @@ class TestCorrelationTwoOutputs:
         assert correlation_C2(probe, budget=SMALL_BUDGET) == pytest.approx(
             max(ca2, cb2), abs=1e-12
         )
+
+
+def _fibonacci_directions(count: int) -> np.ndarray:
+    i = np.arange(count)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    rad = np.sqrt(1.0 - z * z)
+    return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
+
+
+def _grid_value(state: DensityMatrix, side: tuple[int, ...], count: int) -> float:
+    """Best two-output equiprobable value over count fixed Bloch directions.
+
+    For a unit direction v the equiprobable effect with the longest Bloch
+    vector is P = a 1 + b v.sigma with b = 1 / (2 (1 + |v.r|)) and
+    a = 1/2 - b v.r (r the measured qubit's Bloch vector); its value is
+    1/2 ||Tr_meas[rho ((2P - 1) (x) 1)]||_1.
+    """
+    d_a, d_b = state.dims
+    tensor = as_matrix(state).reshape(d_a, d_b, d_a, d_b)
+    if side == (1,):
+        tensor = tensor.transpose(1, 0, 3, 2)
+    sigma = np.stack(PAULIS[1:])
+    r_bloch = np.einsum("arbr,kba->k", tensor, sigma).real
+    v = _fibonacci_directions(count)
+    vr = v @ r_bloch
+    b = 1.0 / (2.0 * (1.0 + np.abs(vr)))
+    a = 0.5 - b * vr
+    effects = a[:, None, None] * np.eye(2) + b[:, None, None] * np.tensordot(v, sigma, axes=1)
+    # kernel_rs = sum_ab tensor[a, r, b, s] X[b, a] as one matrix product
+    ops = (2.0 * effects - np.eye(2)).reshape(count, 4)
+    kernels = (ops @ tensor.transpose(2, 0, 1, 3).reshape(4, d_b * d_b)).reshape(count, d_b, d_b)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(kernels)).sum(axis=1).max())
+
+
+class TestQubitSphereSearch:
+    def test_beats_dense_grid(self):
+        rng = np.random.default_rng(7)
+        misses = []
+        for k in range(200):
+            d = (4, 6, 8)[k % 3]
+            state = DensityMatrix(as_matrix(random_density_matrix(rng, d)), (2, d // 2))
+            for side in ((0,), (1,)) if d == 4 else ((0,),):
+                got = correlation_CA2(state, side)
+                floor = _grid_value(state, side, 20_000)
+                if not floor - 1e-9 <= got <= 0.5:
+                    misses.append((k, side, floor - got))
+        assert not misses
+
+    def test_one_step_keeps_best_grid_point(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            state = DensityMatrix(as_matrix(random_density_matrix(rng, 6)), (2, 3))
+            got = correlation_CA2(state, budget=OptimizerBudget(polish_maxfev=1))
+            assert got >= _grid_value(state, (0,), 64) - 1e-12
+
+    def test_deterministic_given_budget(self):
+        rng = np.random.default_rng(12)
+        state = DensityMatrix(as_matrix(random_density_matrix(rng, 8)), (2, 4))
+        assert correlation_CA2(state, budget=SMALL_BUDGET) == correlation_CA2(
+            state, budget=SMALL_BUDGET
+        )
+
+    @pytest.mark.parametrize("rho_a", [np.eye(2) / 2, np.diag([0.75, 0.25])])
+    def test_product_state_keeps_unit_directions(self, monkeypatch, rho_a):
+        # binary-exact product entries make every A_k, hence every g, exactly zero
+        import backflow.ensembles as ens
+
+        steps = []
+        argmax = ens._sphere_argmax
+
+        def checked(g, r_bloch, v):
+            out = argmax(g, r_bloch, v)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(ens, "_sphere_argmax", checked)
+        prod = DensityMatrix(np.kron(rho_a, np.diag([0.5, 0.25, 0.25])).astype(complex), (2, 3))
+        got = correlation_CA2(prod)
+        assert 0.0 <= got <= 1e-7
+        assert steps
+        for out in steps:
+            assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
 class TestCorrelationGeneral:
