@@ -31,10 +31,11 @@ from .errors import (
     QuadratureError,
     TimeOrderViolationError,
 )
-from .linalg import PAULIS, DensityMatrix, as_matrix, max_entangled_state, tensor_product
+from .linalg import PAULIS, DensityMatrix, as_matrix, max_entangled_state
 
 _TIME_SLACK = 1e-12
 QUAD_ABS_TOL = 1e-10
+_SIGN_Z = np.array([[1.0, -1.0], [-1.0, 1.0]])[None, :, None, :]
 
 
 def _log_cosh(t: float) -> float:
@@ -283,15 +284,21 @@ def compose(later: PauliChannelMap, earlier: PauliChannelMap) -> PauliChannelMap
 
 
 class ExtendedChannel:
-    """identity (x) map on ancilla factors, with the map on the last factor."""
+    """identity (x) map on ancilla factors, with the map on the last factor.
+
+    apply maps every 2x2 block B of the (n, 2, n, 2) reshape at once, as
+    q_0 B + q_x F + q_y F.S + q_z B.S: F = sigma_x B sigma_x reverses both
+    qubit axes and B.S = sigma_z B sigma_z negates the off-diagonal entries.
+    Summed in this order it rounds exactly like the Kronecker-lifted
+    sum_mu q_mu (1 (x) sigma_mu) M (1 (x) sigma_mu)^dagger.
+    """
 
     def __init__(self, ch: PauliChannelMap, ancilla_dims: Sequence[int]):
         self.channel = ch
         self.ancilla_dims = tuple(int(d) for d in ancilla_dims)
         anc = int(np.prod(self.ancilla_dims)) if self.ancilla_dims else 1
         self.dim = anc * 2
-        eye = np.eye(anc, dtype=complex)
-        self._lifted = [tensor_product(eye, s) for s in PAULIS]
+        self._block_shape = (anc, 2, anc, 2)
         self._weights = ch.mixing_weights()
 
     def apply(self, operator) -> np.ndarray:
@@ -300,10 +307,11 @@ class ExtendedChannel:
             raise DimensionMismatchError(
                 f"expected shape {(self.dim, self.dim)}, got {mat.shape}"
             )
-        out = np.zeros_like(mat)
-        for q, u in zip(self._weights, self._lifted):
-            out += q * u @ mat @ u.conj().T
-        return out
+        q0, qx, qy, qz = self._weights
+        blocks = mat.reshape(self._block_shape)
+        flip = blocks[:, ::-1, :, ::-1]
+        out = q0 * blocks + qx * flip + qy * (flip * _SIGN_Z) + qz * (blocks * _SIGN_Z)
+        return out.reshape(mat.shape)
 
     def apply_state(self, state: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(

@@ -34,10 +34,11 @@ from .errors import (
 from .linalg import (
     PAULIS,
     DensityMatrix,
-    as_matrix,
     hermitian_eig,
     maximally_mixed,
     partial_trace,
+    tensor_product,
+    trace_distance,
     trace_norm,
 )
 
@@ -58,6 +59,8 @@ class Povm:
     def __post_init__(self):
         effs = tuple(np.asarray(e, dtype=complex) for e in self.effects)
         object.__setattr__(self, "effects", effs)
+        if not effs or effs[0].ndim != 2 or effs[0].shape[0] != effs[0].shape[1]:
+            raise DimensionMismatchError("POVM needs at least one square 2-D effect")
         dim = effs[0].shape[0]
         total = np.zeros((dim, dim), dtype=complex)
         for e in effs:
@@ -91,6 +94,10 @@ class MePovmCertificate:
 
 def is_me_povm(povm: Povm, state: DensityMatrix, tol: float = ME_PROB_TOL) -> MePovmCertificate:
     """Check whether every outcome is equiprobable on the given state."""
+    if povm.dim != state.dim:
+        raise DimensionMismatchError(
+            f"POVM dimension {povm.dim} does not match state dimension {state.dim}"
+        )
     n = povm.n_outputs
     probs = tuple(float(np.trace(state.matrix @ e).real) for e in povm.effects)
     dev = max(abs(p - 1.0 / n) for p in probs)
@@ -174,14 +181,6 @@ class StateEnsemble:
         return tuple(m.state for m in self.members)
 
 
-def _lift(op: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:
-    ops = [op if k == factor else np.eye(dims[k], dtype=complex) for k in range(len(dims))]
-    lifted = ops[0]
-    for o in ops[1:]:
-        lifted = np.kron(lifted, o)
-    return lifted
-
-
 def _resolve_side(dims: Sequence[int], side) -> tuple[int, ...]:
     """Map a side designator (\"A\", \"B\", factor index, or index tuple) to factors."""
     if isinstance(side, str):
@@ -212,10 +211,9 @@ def measure_on_subsystem(state: DensityMatrix, povm: Povm, side=0) -> StateEnsem
     if povm.dim != d_meas:
         raise DimensionMismatchError("POVM dimension does not match the measured side")
     rest_dims = tuple(dims[k] for k in rest)
-    tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
     members = []
     for effect in povm.effects:
-        kernel = np.einsum("arbs,ba->rs", tensor, effect)
+        kernel = _conditional_kernel(mat, d_meas, d_rest, effect)
         p = float(np.trace(kernel).real)
         if p <= DEGENERATE_OUTCOME_TOL:
             members.append(
@@ -242,11 +240,21 @@ def measure_on_subsystem(state: DensityMatrix, povm: Povm, side=0) -> StateEnsem
 
 def guessing_probability_two(state_a: DensityMatrix, state_b: DensityMatrix) -> float:
     """Optimal guessing probability for two equiprobable states."""
-    return 0.25 * (2.0 + trace_norm(as_matrix(state_a) - as_matrix(state_b)))
+    return 0.25 * (2.0 + 2.0 * trace_distance(state_a, state_b))
 
 
 @dataclass(frozen=True)
 class OptimizerBudget:
+    """Search effort, by the code that reads each field.
+
+    seeds: fixed-point starts (guessing_probability_bruteforce), general
+    two-output ascent starts (max(3, seeds // 2)) and the CLI mutinfo-map
+    sample count. max_iterations: fixed-point steps per start, top-level
+    guessing_probability_bruteforce calls only (the n-output searches pass
+    their own). polish_maxfev: qubit sphere-search steps per start; the
+    n-output Nelder-Mead keeps its own cap of 120. rng_seed: every random start.
+    """
+
     seeds: int = 8
     max_iterations: int = 300
     polish_maxfev: int = 600
@@ -275,6 +283,23 @@ def _povm_payoff(weighted: Sequence[np.ndarray], effects: Sequence[np.ndarray]) 
     return float(sum(np.trace(w @ p).real for w, p in zip(weighted, effects)))
 
 
+def _certify_effects(effects: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Clip each effect to the PSD cone, restore the sum by a sandwich, spread the rest.
+
+    The sandwich L^{-1/2} C L^{-1/2} keeps every effect PSD while restoring
+    the completeness the clip may have broken; any null space of the sum
+    re-enters through its (PSD) projector split evenly.
+    """
+    clipped = []
+    for e in effects:
+        w, u = np.linalg.eigh(0.5 * (e + e.conj().T))
+        clipped.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
+    ti = _pinv_sqrt(sum(clipped))
+    clipped = [ti @ c @ ti for c in clipped]
+    rem = np.eye(ti.shape[0]) - sum(clipped)
+    return [c + rem / len(clipped) for c in clipped]
+
+
 def guessing_probability_bruteforce(
     ensemble: StateEnsemble, budget: OptimizerBudget | None = None
 ) -> DiscriminationResult:
@@ -300,18 +325,9 @@ def guessing_probability_bruteforce(
         for it in range(1, budget.max_iterations + 1):
             lam = sum(w @ p @ w for w, p in zip(ws, effs))
             li = _pinv_sqrt(lam)
-            effs = [li @ w @ p @ w @ li for w, p in zip(ws, effs)]
-            # A nearly singular lam amplifies rounding into real asymmetry and
-            # negative parts, so certify the iterate before scoring it: clip to
-            # the PSD cone, restore the sum by a sandwich, spread what is left.
-            clipped = []
-            for e in effs:
-                ev, u = np.linalg.eigh(0.5 * (e + e.conj().T))
-                clipped.append((u * np.clip(ev, 0.0, None)) @ u.conj().T)
-            ti = _pinv_sqrt(sum(clipped))
-            effs = [ti @ c @ ti for c in clipped]
-            rem = np.eye(dim) - sum(effs)  # PSD: the uncovered null space
-            effs = [p + rem / n for p in effs]
+            # a nearly singular lam amplifies rounding into real asymmetry and
+            # negative parts, so certify the iterate before scoring it
+            effs = _certify_effects([li @ w @ p @ w @ li for w, p in zip(ws, effs)])
             val = _povm_payoff(ws, effs)
             if val > best_val + 1e-15:
                 best_val, best_effs, stall = val, effs, 0
@@ -343,19 +359,8 @@ def guessing_probability_bruteforce(
             best_val, best_effs, best_it, best_conv = val, effs, it, conv
     povm = None
     if best_effs is not None:
-        cleaned = []
-        for e in best_effs:
-            w, u = np.linalg.eigh(0.5 * (e + e.conj().T))
-            cleaned.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-        # sandwich normalization keeps every effect PSD while restoring the
-        # completeness the clip may have broken; any null space of the sum
-        # re-enters through its (PSD) projector split evenly
-        ti = _pinv_sqrt(sum(cleaned))
-        cleaned = [ti @ c @ ti for c in cleaned]
-        rem = np.eye(dim) - sum(cleaned)
-        cleaned = [c + rem / n for c in cleaned]
         try:
-            povm = Povm(effects=tuple(cleaned))
+            povm = Povm(effects=tuple(_certify_effects(best_effs)))
         except DimensionMismatchError:
             povm = None
     return DiscriminationResult(
@@ -371,16 +376,6 @@ def guessing_probability_bruteforce(
 # correlation measures
 
 
-def _permute_factors(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    dims = tuple(dims)
-    n = len(dims)
-    tensor = mat.reshape(dims * 2)
-    perm = list(order) + [o + n for o in order]
-    tensor = np.transpose(tensor, perm)
-    total = int(np.prod(dims))
-    return tensor.reshape(total, total)
-
-
 def _bipartition(state: DensityMatrix, measured: Sequence[int]) -> tuple[np.ndarray, int, int]:
     """Permute so the measured factors come first; return (matrix, d_meas, d_rest)."""
     measured = tuple(measured)
@@ -389,10 +384,11 @@ def _bipartition(state: DensityMatrix, measured: Sequence[int]) -> tuple[np.ndar
             or any(m < 0 or m >= len(state.dims) for m in measured)):
         raise SubsystemIndexError(f"bad measured factors {measured}")
     order = measured + rest
-    mat = _permute_factors(state.matrix, state.dims, order)
+    perm = order + tuple(o + len(state.dims) for o in order)
+    tensor = np.transpose(state.matrix.reshape(state.dims * 2), perm)
     d_meas = int(np.prod([state.dims[m] for m in measured]))
     d_rest = int(np.prod([state.dims[r] for r in rest])) if rest else 1
-    return mat, d_meas, d_rest
+    return tensor.reshape(d_meas * d_rest, d_meas * d_rest), d_meas, d_rest
 
 
 def _conditional_kernel(mat: np.ndarray, d_meas: int, d_rest: int, op: np.ndarray) -> np.ndarray:
@@ -578,11 +574,6 @@ def _capped_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, beta: float) -> np.
     return p_out
 
 
-def _me_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray) -> np.ndarray:
-    """Maximize Tr(Q P) over effects equiprobable on R (Tr R = 1)."""
-    return _capped_linear_opt(q_mat, r_mat, 0.5)
-
-
 def _boxed_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, upper: np.ndarray,
                       beta: float) -> np.ndarray:
     """Maximize Tr(Q P) over 0 <= P <= U with Tr(R P) = beta.
@@ -618,7 +609,7 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
     eye = np.eye(d_meas)
 
     def kernel(x: np.ndarray) -> np.ndarray:
-        out = np.einsum("arbs,ba->rs", tensor, x)
+        out = _conditional_kernel(mat, d_meas, d_rest, x)
         return 0.5 * (out + out.conj().T)
 
     def adjoint(w_op: np.ndarray) -> np.ndarray:
@@ -635,7 +626,7 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
             m_ker = kernel(2.0 * p_eff - eye)
             w, u = np.linalg.eigh(m_ker)
             w_op = (u * np.sign(w)) @ u.conj().T
-            p_eff = _me_linear_opt(adjoint(w_op), rho_meas)
+            p_eff = _capped_linear_opt(adjoint(w_op), rho_meas, 0.5)
             val = objective(p_eff)
             if val > best + 1e-14:
                 best, stall = val, 0
@@ -656,7 +647,7 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
         pass
     for _ in range(max(3, budget.seeds // 2)):
         g = rng.normal(size=(d_meas, d_meas)) + 1j * rng.normal(size=(d_meas, d_meas))
-        starts.append(_me_linear_opt(0.5 * (g + g.conj().T), rho_meas))
+        starts.append(_capped_linear_opt(0.5 * (g + g.conj().T), rho_meas, 0.5))
 
     return max(ascend(p0) for p0 in starts)
 
@@ -665,17 +656,13 @@ def _is_flag_diagonal(state: DensityMatrix, flag: int = 0) -> bool:
     """True when the state has no coherence across the flag qubit."""
     if state.dims[flag] != 2:
         return False
-    order = (flag,) + tuple(k for k in range(len(state.dims)) if k != flag)
-    mat = _permute_factors(state.matrix, state.dims, order)
-    half = mat.shape[0] // 2
+    mat, _, half = _bipartition(state, (flag,))
     return bool(np.max(np.abs(mat[:half, half:])) < 1e-12)
 
 
 def _flag_blocks(state: DensityMatrix, flag: int = 0) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Diagonal blocks (unnormalized conditional states) of a flag-diagonal state."""
-    order = (flag,) + tuple(k for k in range(len(state.dims)) if k != flag)
-    mat = _permute_factors(state.matrix, state.dims, order)
-    half = mat.shape[0] // 2
+    mat, _, half = _bipartition(state, (flag,))
     b0, b1 = mat[:half, :half], mat[half:, half:]
     return b0, b1, float(np.trace(b0).real), float(np.trace(b1).real)
 
@@ -735,6 +722,19 @@ def correlation_C2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
 # --- searches with more than two outputs -----------------------------------
 
 
+def _equiprobable_pg(blocks: Sequence[np.ndarray], inner: OptimizerBudget) -> float:
+    """Guessing probability of the n equiprobable states n * B_i (blocks of trace 1/n)."""
+    n = len(blocks)
+    members = []
+    for blk in blocks:
+        blk = 0.5 * (blk + blk.conj().T)
+        members.append(EnsembleMember(
+            probability=1.0 / n,
+            state=DensityMatrix(matrix=blk * n, dims=(blk.shape[0],), _skip_checks=True),
+        ))
+    return guessing_probability_bruteforce(StateEnsemble(members=tuple(members)), inner).value
+
+
 def _flag_measured_n_output_pg(state: DensityMatrix, n: int,
                                budget: OptimizerBudget | None = None) -> float:
     """Best n-output guessing probability measuring the flag qubit itself.
@@ -751,20 +751,11 @@ def _flag_measured_n_output_pg(state: DensityMatrix, n: int,
     b0, b1, p0, p1 = _flag_blocks(state, 0)
     if not (abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9):
         raise DimensionMismatchError("flag marginal is not uniform")
-    d = b0.shape[0]
     cap = 2.0 / n
     inner = OptimizerBudget(seeds=2, max_iterations=80, rng_seed=budget.rng_seed)
 
     def payoff(lam: np.ndarray) -> float:
-        members = []
-        for li in lam:
-            blk = li * b0 + (cap - li) * b1
-            blk = 0.5 * (blk + blk.conj().T)
-            members.append(EnsembleMember(
-                probability=1.0 / n,
-                state=DensityMatrix(matrix=blk * n, dims=(d,), _skip_checks=True),
-            ))
-        return guessing_probability_bruteforce(StateEnsemble(members=tuple(members)), inner).value
+        return _equiprobable_pg([li * b0 + (cap - li) * b1 for li in lam], inner)
 
     k = n // 2
     vertex = np.zeros(n)
@@ -848,15 +839,7 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
         return out
 
     def pg(effs: Sequence[np.ndarray]) -> float:
-        members = []
-        for p in effs:
-            blk = kernel_of(p)
-            blk = 0.5 * (blk + blk.conj().T)
-            members.append(EnsembleMember(
-                probability=1.0 / n,
-                state=DensityMatrix(matrix=blk * n, dims=(d_rest,), _skip_checks=True),
-            ))
-        return guessing_probability_bruteforce(StateEnsemble(members=tuple(members)), inner).value
+        return _equiprobable_pg([kernel_of(p) for p in effs], inner)
 
     def penalized(c: np.ndarray) -> float:
         effs = effects_of(c)
@@ -951,6 +934,8 @@ def apply_local_channel(state: DensityMatrix, channel: LocalChannel, factor: int
         raise DimensionMismatchError("channel dimension does not match the factor")
     out = np.zeros_like(state.matrix)
     for e in channel.kraus:
-        lifted = _lift(e, dims, factor)
+        lifted = tensor_product(
+            *(e if k == factor else np.eye(d, dtype=complex) for k, d in enumerate(dims))
+        )
         out += lifted @ state.matrix @ lifted.conj().T
     return DensityMatrix(matrix=out, dims=dims, _skip_checks=True)

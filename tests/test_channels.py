@@ -198,6 +198,24 @@ class TestChannelAction:
         with pytest.raises(DimensionMismatchError):
             ext.apply(np.eye(4, dtype=complex) / 4)
 
+    @pytest.mark.parametrize("ancilla_dims", [(), (2,), (3,), (2, 3)])
+    def test_block_kernel_rounds_like_kronecker_sum(self, ancilla_dims):
+        # The golden CSV bytes rest on this: the block kernel must round exactly
+        # like sum_mu q_mu (1 (x) s_mu) M (1 (x) s_mu)^dagger accumulated in mu
+        # order, which a Bloch-coefficient rewrite does not.
+        from backflow.linalg import PAULIS
+
+        rng = np.random.default_rng(17)
+        anc = math.prod(ancilla_dims)
+        for _ in range(25):
+            ch = PauliChannelMap(*rng.uniform(-1.5, 1.5, size=3))
+            m = rng.normal(size=(2 * anc, 2 * anc)) + 1j * rng.normal(size=(2 * anc, 2 * anc))
+            want = np.zeros_like(m)
+            for q, sigma in zip(ch.mixing_weights(), PAULIS):
+                lift = np.kron(np.eye(anc), sigma)
+                want += q * lift @ m @ lift.conj().T
+            assert np.array_equal(extend_with_identity(ch, ancilla_dims).apply(m), want)
+
 
 class TestChoi:
     def test_closed_form_matches_numeric(self):

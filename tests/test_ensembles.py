@@ -156,6 +156,17 @@ class TestPovmValidation:
         with pytest.raises(DimensionMismatchError):
             Povm(effects=(np.full((2, 2), bad), np.eye(2)))
 
+    @pytest.mark.parametrize("effects", [
+        (),
+        (np.float64(1.0),),
+        (np.ones(2),),
+        (np.zeros((2, 3)),),
+        (np.zeros((1, 2, 2)),),
+    ], ids=["empty", "scalar", "vector", "rectangular", "three-d"])
+    def test_non_square_or_empty_rejected(self, effects):
+        with pytest.raises(DimensionMismatchError):
+            Povm(effects=effects)
+
     def test_valid_povm_properties(self):
         povm = Povm(effects=(np.diag([1.0, 0.0]).astype(complex),
                              np.diag([0.0, 1.0]).astype(complex)))
@@ -171,6 +182,11 @@ class TestIsMePovm:
         assert not cert.equiprobable
         assert cert.max_deviation == pytest.approx(0.2, abs=1e-12)
         assert cert.probabilities == pytest.approx((0.7, 0.3))
+
+    def test_dimension_mismatch_rejected(self):
+        povm = construct_me_povm(maximally_mixed((2,)), 2)
+        with pytest.raises(DimensionMismatchError):
+            is_me_povm(povm, maximally_mixed((3,)))
 
 
 class TestStateEnsemble:
@@ -297,6 +313,10 @@ class TestGuessingProbabilityTwo:
     def test_pure_vs_mixed(self):
         zero = pure_state(np.array([1.0, 0.0]), (2,))
         assert guessing_probability_two(zero, maximally_mixed((2,))) == pytest.approx(0.75)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            guessing_probability_two(maximally_mixed((2,)), maximally_mixed((3,)))
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,4 @@
-"""Modules share only public names: no module imports another's private ones."""
+"""Import hygiene: modules share only public names, and leave no dead imports or helpers."""
 
 from __future__ import annotations
 
@@ -33,3 +33,73 @@ def test_no_module_imports_private_names():
         for line, name in private_relative_imports(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in its __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def unreferenced_private_helpers(source: str) -> list[str]:
+    """Module-level underscore names (defs, classes, constants) never read in the module."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_guards_see_dead_code():
+    assert unused_imports(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .linalg import as_matrix, tensor_product\n"
+        "from .errors import ConfigError\n"
+        "__all__ = ['ConfigError']\n"
+        "np.eye(2)\n"
+        "as_matrix(1)\n"
+    ) == ["tensor_product"]
+    assert unreferenced_private_helpers(
+        "_TOL = 1e-9\n"
+        "def _lift(x):\n    return x\n"
+        "def _used(x):\n    return x < _TOL\n"
+        "def public():\n    return _used(1)\n"
+    ) == ["_lift"]
+
+
+def test_every_import_is_used_or_exported():
+    offenders = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_every_private_helper_is_referenced():
+    offenders = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unreferenced_private_helpers(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
