@@ -21,20 +21,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DimensionMismatchError,
     EpsilonRangeError,
     NonBijectiveError,
     NonFiniteError,
-    QuadratureError,
     TimeOrderViolationError,
 )
 from .linalg import PAULIS, DensityMatrix, as_matrix, max_entangled_state
 
 _TIME_SLACK = 1e-12
-QUAD_ABS_TOL = 1e-10
 _SIGN_Z = np.array([[1.0, -1.0], [-1.0, 1.0]])[None, :, None, :]
 
 
@@ -48,17 +45,15 @@ def _log_cosh(t: float) -> float:
 class RateProfile:
     """Time-dependent rates (gamma_x, gamma_y, gamma_z) on [0, domain_end].
 
-    evaluate(t) returns the three rates at time t. pair_integrals, when
-    present, returns the exact integrals over [t0, t1] of the three pair sums
+    evaluate(t) returns the three rates at time t. pair_integrals returns the
+    exact integrals over [t0, t1] of the three pair sums
     (gamma_y+gamma_z, gamma_x+gamma_z, gamma_x+gamma_y) in that order, i.e.
-    ordered by the Bloch axis they damp. Profiles without an exact
-    antiderivative fall back to adaptive quadrature at 1e-10 absolute
-    tolerance.
+    ordered by the Bloch axis they damp; every constructor supplies one.
     """
 
     evaluate: Callable[[float], tuple[float, float, float]]
     domain_end: float
-    pair_integrals: Callable[[float, float], tuple[float, float, float]] | None = None
+    pair_integrals: Callable[[float, float], tuple[float, float, float]]
     label: str = "custom"
 
     def __post_init__(self):
@@ -74,24 +69,7 @@ class RateProfile:
 
     def integrate_pair_sums(self, t0: float, t1: float) -> np.ndarray:
         _check_interval(self, t0, t1)
-        if self.pair_integrals is not None:
-            return np.asarray(self.pair_integrals(t0, t1), dtype=float)
-        out = []
-        for idx in range(3):
-            val, err = quad(
-                lambda t, k=idx: self.pair_sums(t)[k],
-                t0,
-                t1,
-                epsabs=QUAD_ABS_TOL,
-                epsrel=QUAD_ABS_TOL,
-                limit=200,
-            )
-            if err > max(1e-8, 1e-8 * abs(val)):
-                raise QuadratureError(
-                    f"pair-sum integral on [{t0}, {t1}] reported error {err:.2e}"
-                )
-            out.append(val)
-        return np.asarray(out)
+        return np.asarray(self.pair_integrals(t0, t1), dtype=float)
 
 
 def _check_interval(profile: RateProfile, t0: float, t1: float) -> None:
@@ -286,8 +264,9 @@ def compose(later: PauliChannelMap, earlier: PauliChannelMap) -> PauliChannelMap
 class ExtendedChannel:
     """identity (x) map on ancilla factors, with the map on the last factor.
 
-    apply maps every 2x2 block B of the (n, 2, n, 2) reshape at once, as
-    q_0 B + q_x F + q_y F.S + q_z B.S: F = sigma_x B sigma_x reverses both
+    This is the one way to apply a Pauli map; ancilla_dims = () maps a bare
+    qubit. apply maps every 2x2 block B of the (n, 2, n, 2) reshape at once,
+    as q_0 B + q_x F + q_y F.S + q_z B.S: F = sigma_x B sigma_x reverses both
     qubit axes and B.S = sigma_z B sigma_z negates the off-diagonal entries.
     Summed in this order it rounds exactly like the Kronecker-lifted
     sum_mu q_mu (1 (x) sigma_mu) M (1 (x) sigma_mu)^dagger.
@@ -319,30 +298,13 @@ class ExtendedChannel:
         )
 
 
-def extend_with_identity(ch: PauliChannelMap, ancilla_dims: Sequence[int]) -> ExtendedChannel:
-    return ExtendedChannel(ch, ancilla_dims)
-
-
-def apply_channel(ch: PauliChannelMap, state):
-    """Apply the map to a single-qubit operator.
-
-    Accepts a DensityMatrix (returns DensityMatrix) or a bare 2x2 array
-    (returns an array). For non-CP maps the output of a bare-array call can
-    fail positivity; that is the caller's concern.
-    """
-    ext = ExtendedChannel(ch, ())
-    if isinstance(state, DensityMatrix):
-        return ext.apply_state(state)
-    return ext.apply(state)
-
-
 _PHI_PLUS = max_entangled_state(2).matrix
 _PHI_PLUS.setflags(write=False)
 
 
 def choi_matrix(ch: PauliChannelMap) -> np.ndarray:
     """(id (x) map) applied to |Phi+><Phi+|; normalized to trace 1."""
-    return extend_with_identity(ch, (2,)).apply(_PHI_PLUS)
+    return ExtendedChannel(ch, (2,)).apply(_PHI_PLUS)
 
 
 def choi_eigenvalues(ch: PauliChannelMap) -> np.ndarray:

@@ -38,7 +38,6 @@ from .errors import (
     EpsilonRangeError,
     NonBijectiveError,
     PreconditionError,
-    QuadratureError,
     ScaleUnderflowError,
 )
 from .linalg import random_density_matrix
@@ -78,7 +77,6 @@ _DEFAULT_TOLERANCES = {
     "eig_rel": 1e-4,
     "eig_abs": 1e-8,
     "uniformity": 1e-9,
-    "negativity": 1e-10,
 }
 
 _CONFIG_KEYS = {
@@ -96,7 +94,6 @@ _CONFIG_KEYS = {
 }
 
 _NUMERICAL_ERRORS = (
-    QuadratureError,
     ScaleUnderflowError,
     NonBijectiveError,
     EpsilonRangeError,
@@ -149,21 +146,22 @@ def _profile_from_spec(spec) -> RateProfile:
     if "csv" in spec:
         return load_rate_table_csv(str(spec["csv"]))
     preset = spec.get("preset")
+    domain_end = _number(spec.get("domain_end", math.inf), "domain_end")
     if preset == "eternal":
-        return eternal_rates(domain_end=float(spec.get("domain_end", math.inf)))
+        return eternal_rates(domain_end=domain_end)
     if preset == "constant":
         rates = spec.get("rates")
         if not isinstance(rates, (list, tuple)) or len(rates) != 3:
             raise ConfigError("constant preset needs rates = [gx, gy, gz]")
-        gx, gy, gz = (float(v) for v in rates)
-        return constant_rates(gx, gy, gz, float(spec.get("domain_end", math.inf)))
+        gx, gy, gz = (_number(v, "rate") for v in rates)
+        return constant_rates(gx, gy, gz, domain_end)
     if preset == "shrink-burst":
         if "base" not in spec or "epsilon" not in spec or "t_activate" not in spec:
             raise ConfigError("shrink-burst preset needs base, epsilon, t_activate")
         return tune_rates_shrink_image(
             _profile_from_spec(spec["base"]),
-            float(spec["epsilon"]),
-            float(spec["t_activate"]),
+            _number(spec["epsilon"], "epsilon"),
+            _number(spec["t_activate"], "t_activate"),
         )
     raise ConfigError(f"unknown rate profile preset {preset!r}")
 
@@ -187,7 +185,9 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """value as float; what float() refuses (null, "abc", a list) is a ConfigError."""
+    """value as float; true, false and what float() refuses (null, "abc") are ConfigErrors."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -217,11 +217,11 @@ def load_config(path: str) -> ScenarioConfig:
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object with t_start, t_end, steps")
     try:
-        t_start = float(grid["t_start"])
-        t_end = float(grid["t_end"])
+        t_start = _number(grid["t_start"], "grid t_start")
+        t_end = _number(grid["t_end"], "grid t_end")
         steps = _integer(grid["steps"], "grid steps")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"bad grid: missing {exc}") from exc
     if steps < 2:
         raise ConfigError("grid steps must be at least 2")
     if not (0.0 <= t_start < t_end < math.inf):
@@ -256,7 +256,7 @@ def load_config(path: str) -> ScenarioConfig:
     budget_raw = raw.get("budget") or {}
     if not isinstance(budget_raw, dict):
         raise ConfigError("budget must be an object")
-    keys = ("seeds", "max_iterations", "polish_maxfev")
+    keys = ("seeds", "polish_maxfev")
     unknown = set(budget_raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
@@ -488,8 +488,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker threads for the mutinfo-map sample batches (other scenarios "
-        "run serially); 0 picks the machine default",
+        help="worker threads for the mutinfo-map sample batches, at most one per "
+        "core (other scenarios run serially); 0 picks the machine default",
     )
     run_parser.add_argument("--verbose", action="store_true", help="progress to stderr")
     args = parser.parse_args(argv)

@@ -249,10 +249,11 @@ class OptimizerBudget:
 
     seeds: fixed-point starts (guessing_probability_bruteforce), general
     two-output ascent starts (max(3, seeds // 2)) and the CLI mutinfo-map
-    sample count. max_iterations: fixed-point steps per start, top-level
-    guessing_probability_bruteforce calls only (the n-output searches pass
-    their own). polish_maxfev: qubit sphere-search steps per start; the
-    n-output Nelder-Mead keeps its own cap of 120. rng_seed: every random start.
+    sample count. max_iterations: fixed-point steps per start, library calls
+    of guessing_probability_bruteforce only (the n-output searches pass their
+    own; no scenario config sets it). polish_maxfev: qubit sphere-search steps
+    per start; the n-output Nelder-Mead keeps its own cap of 120. rng_seed:
+    every random start.
     """
 
     seeds: int = 8
@@ -266,7 +267,6 @@ class DiscriminationResult:
     value: float
     iterations: int
     converged: bool
-    budget_exhausted: bool
     povm: Povm | None = None
 
     def __float__(self) -> float:  # convenience for comparisons in callers
@@ -367,7 +367,6 @@ def guessing_probability_bruteforce(
         value=best_val,
         iterations=best_it,
         converged=best_conv,
-        budget_exhausted=not best_conv,
         povm=povm,
     )
 

@@ -35,10 +35,6 @@ class NonFiniteError(BackflowError):
     """A rate or time that must be a finite number is NaN or infinite."""
 
 
-class QuadratureError(BackflowError):
-    """Rate integration did not reach the requested tolerance."""
-
-
 class EpsilonRangeError(BackflowError):
     """A perturbation or shrink parameter is outside its valid range."""
 

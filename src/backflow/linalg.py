@@ -105,11 +105,6 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def density_matrix(matrix: np.ndarray, dims) -> DensityMatrix:
-    """Validate and wrap a raw matrix."""
-    return DensityMatrix(matrix=matrix, dims=tuple(dims))
-
-
 def as_matrix(state) -> np.ndarray:
     """Accept DensityMatrix or ndarray and return the underlying array."""
     if isinstance(state, DensityMatrix):

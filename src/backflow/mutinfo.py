@@ -13,6 +13,7 @@ its Hessian at a stationary state is a Hadamard-weighted entropy Hessian.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from .channels import (
+    ExtendedChannel,
     PauliChannelMap,
     RateProfile,
-    extend_with_identity,
     intermediate_map,
     invert_channel,
 )
@@ -139,28 +140,6 @@ def trace_function() -> SpectralFunction:
 
 
 @dataclass(frozen=True)
-class HermitianFamily:
-    """A(a) with its first (and optionally second) parameter derivatives."""
-
-    matrix: Callable[[np.ndarray], np.ndarray]
-    first_derivatives: Callable[[np.ndarray], Sequence[np.ndarray]]
-    second_derivatives: Callable[[np.ndarray], Sequence[Sequence[np.ndarray]]] | None = None
-
-
-def affine_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> HermitianFamily:
-    base = np.asarray(base, dtype=complex)
-    dirs = [np.asarray(d, dtype=complex) for d in directions]
-
-    def matrix(a: np.ndarray) -> np.ndarray:
-        out = base.copy()
-        for ai, d in zip(a, dirs):
-            out += ai * d
-        return out
-
-    return HermitianFamily(matrix=matrix, first_derivatives=lambda a: dirs)
-
-
-@dataclass(frozen=True)
 class SpectralDerivativeWorkspace:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -189,13 +168,14 @@ def _cluster_indices(lam: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def spectral_derivatives(
-    family: HermitianFamily,
+    base: np.ndarray,
+    directions: Sequence[np.ndarray],
     f: SpectralFunction,
     a: np.ndarray,
     degeneracy_tol: float = DEGENERACY_TOL,
     tie_break_direction: int = 0,
 ) -> SpectralDerivativeResult:
-    """Gradient and Hessian of f(spectrum(A(a))) at the point a.
+    """Gradient and Hessian of f(spectrum(A(a))) at a, for A(a) = base + sum_i a_i d_i.
 
     Eigenvectors inside a degenerate cluster are fixed by diagonalizing the
     first parameter direction with a non-scalar projection onto the cluster,
@@ -204,8 +184,10 @@ def spectral_derivatives(
     cheap consistency check.
     """
     a = np.asarray(a, dtype=float)
-    mat = np.asarray(family.matrix(a), dtype=complex)
-    firsts = [np.asarray(b, dtype=complex) for b in family.first_derivatives(a)]
+    firsts = [np.asarray(d, dtype=complex) for d in directions]
+    mat = np.array(base, dtype=complex)
+    for ai, d in zip(a, firsts):
+        mat += ai * d
     m = len(firsts)
     dec = hermitian_eig(mat)
     lam = dec.eigenvalues.copy()
@@ -250,12 +232,6 @@ def spectral_derivatives(
     gaps = lam[:, None] - lam[None, :]
     inv_gaps = np.where(same_cluster, 0.0, 1.0 / np.where(same_cluster, 1.0, gaps))
     h2 = np.einsum("ijkl,kl->ijk", alpha, inv_gaps)
-    if family.second_derivatives is not None:
-        seconds = family.second_derivatives(a)
-        for i in range(m):
-            for j in range(m):
-                sec = np.asarray(seconds[i][j], dtype=complex)
-                h2[i, j] += np.einsum("ak,ab,bk->k", u.conj(), sec, u).real
 
     pair_mask = same_cluster & ~np.eye(n, dtype=bool)
     eta = 0.5 * np.einsum("ijkl,kl->ij", alpha, pair_mask * np.diag(hess_f)[:, None])
@@ -350,7 +326,7 @@ def didt_finite_difference(
         raise BoundaryStateError("state eigenvalue at or below 1e-8; didt undefined")
 
     def shifted(ch: PauliChannelMap) -> float:
-        return mutual_information(extend_with_identity(ch, (2,)).apply_state(state))
+        return mutual_information(ExtendedChannel(ch, (2,)).apply_state(state))
 
     if t >= step:
         plus = shifted(intermediate_map(rates, t, t + step))
@@ -409,8 +385,8 @@ def _mutual_information_hessian(a_12: float) -> np.ndarray:
     entropy = entropy_function()
     dirs = list(_BASIS_STACK[1:])
 
-    joint = affine_family(0.25 * np.eye(4, dtype=complex) + a_12 * _BASIS_STACK[12], dirs)
-    res_joint = spectral_derivatives(joint, entropy, np.zeros(15))
+    base_joint = 0.25 * np.eye(4, dtype=complex) + a_12 * _BASIS_STACK[12]
+    res_joint = spectral_derivatives(base_joint, dirs, entropy, np.zeros(15))
 
     # marginal families: Tr_S e_i = 2 sigma_a when s = 0, else zero (same for A)
     zero2 = np.zeros((2, 2), dtype=complex)
@@ -418,8 +394,8 @@ def _mutual_information_hessian(a_12: float) -> np.ndarray:
     dirs_s = [2.0 * PAULIS[i] if i < 4 else zero2 for i in range(1, 16)]
     base_a = 0.5 * np.eye(2, dtype=complex) + 2.0 * a_12 * PAULIS[3]
     base_s = 0.5 * np.eye(2, dtype=complex)
-    res_a = spectral_derivatives(affine_family(base_a, dirs_a), entropy, np.zeros(15))
-    res_s = spectral_derivatives(affine_family(base_s, dirs_s), entropy, np.zeros(15))
+    res_a = spectral_derivatives(base_a, dirs_a, entropy, np.zeros(15))
+    res_s = spectral_derivatives(base_s, dirs_s, entropy, np.zeros(15))
 
     return res_a.hessian + res_s.hessian - res_joint.hessian
 
@@ -579,8 +555,9 @@ def neighborhood_didt(
 
     Samples live on the coordinate 15-ball of the given radius around the
     stationary state; entries whose state leaves the interior of the state
-    set are NaN. With threads > 1 the samples are split into that many
-    batches evaluated in parallel; the values do not depend on it.
+    set are NaN. With threads > 1 the samples are split into
+    min(threads, cores) batches evaluated in parallel; the values do not
+    depend on it.
     """
     if abs(a_12) >= 0.25 - BOUNDARY_MARGIN:
         raise BoundaryParameterError("a_12 must sit strictly inside (-1/4, 1/4)")
@@ -590,9 +567,10 @@ def neighborhood_didt(
     mats = 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
         "ni,iab->nab", pts, _BASIS_STACK[1:]
     )
-    if threads and threads > 1:
-        chunks = np.array_split(mats, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    batches = min(threads or 1, os.cpu_count() or 1)
+    if batches > 1:
+        chunks = np.array_split(mats, batches)
+        with ThreadPoolExecutor(max_workers=batches) as pool:
             return np.concatenate(list(pool.map(lambda c: didt_batch(c, rates, t), chunks)))
     return didt_batch(mats, rates, t)
 

@@ -21,12 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    ExtendedChannel,
     PauliChannelMap,
     RateProfile,
     choi_matrix,
     choi_min_eigenvalue,
     decay_factors,
-    extend_with_identity,
     intermediate_map,
     invert_channel,
     is_cp,
@@ -80,7 +80,7 @@ class ProbePair:
 
     def distance_at(self, rates: RateProfile, t: float) -> float:
         """Closed form: C2 of the evolved probe equals 1/4 ||rho1(t) - rho2(t)||_1."""
-        ch = extend_with_identity(decay_factors(rates, 0.0, t), (self.rho1_0.dims[0],))
+        ch = ExtendedChannel(decay_factors(rates, 0.0, t), (self.rho1_0.dims[0],))
         return 0.25 * trace_norm(ch.apply(self.rho1_0.matrix - self.rho2_0.matrix))
 
 
@@ -136,7 +136,7 @@ def trace_norm_expansion_direction(
     """
     if ancilla_dim not in _ANCILLA_DIMS:
         raise DimensionMismatchError("the ancilla A' has two or three levels")
-    ext = extend_with_identity(ch, (ancilla_dim,))
+    ext = ExtendedChannel(ch, (ancilla_dim,))
     dim = 2 * ancilla_dim
 
     phi = max_entangled_state(2).matrix
@@ -199,7 +199,7 @@ def trace_norm_expansion_direction(
 
 def _expansion_ratio(ch: PauliChannelMap, direction: np.ndarray) -> float:
     ancilla_dim = direction.shape[0] // 2
-    ext = extend_with_identity(ch, (ancilla_dim,))
+    ext = ExtendedChannel(ch, (ancilla_dim,))
     return float(trace_norm(ext.apply(direction)))
 
 
@@ -226,7 +226,7 @@ def pull_back_pair(
         raise DimensionMismatchError("base state sigma must live on A'(x)S")
 
     inv = invert_channel(decay_factors(rates, 0.0, tau))  # NonBijective if singular
-    delta_0 = extend_with_identity(inv, (dims[0],)).apply(delta_tau)
+    delta_0 = ExtendedChannel(inv, (dims[0],)).apply(delta_tau)
 
     nrm = trace_norm(delta_0)
     if nrm <= 1e-15:
@@ -261,7 +261,7 @@ def build_probe_state(pair: ProbePair) -> ProbeState:
 def evolve_probe(ps: ProbeState, rates: RateProfile, t: float) -> ProbeState:
     """Evolve the S factor to time t; the flag block structure is preserved."""
     ch = decay_factors(rates, 0.0, t)
-    evolved = extend_with_identity(ch, tuple(ps.matrix.dims[:-1])).apply_state(ps.matrix)
+    evolved = ExtendedChannel(ch, tuple(ps.matrix.dims[:-1])).apply_state(ps.matrix)
     return ProbeState(matrix=evolved, pair=ps.pair)
 
 

@@ -58,9 +58,12 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def spectral_fd(family, f, a, step):
+def spectral_fd(base, dirs, f, a, step):
     def val(x):
-        return f.value(np.linalg.eigvalsh(family.matrix(x)))
+        mat = np.array(base, dtype=complex)
+        for xi, d in zip(x, dirs):
+            mat += xi * d
+        return f.value(np.linalg.eigvalsh(mat))
 
     m = a.size
     grad = np.zeros(m)
@@ -322,14 +325,14 @@ def test_criterion_8_oracle_agreements():
             gen = np.random.default_rng(100 + seed)
             dim = int(gen.integers(2, 5))
             n_par = int(gen.integers(1, 4))
-            fam = mi.affine_family(
+            fam = (
                 np.eye(dim) + 0.05 * random_hermitian(gen, dim),
                 [0.1 * random_hermitian(gen, dim) for _ in range(n_par)],
             )
             a = gen.uniform(-0.3, 0.3, size=n_par)
-            res = mi.spectral_derivatives(fam, mi.entropy_function(), a)
-            grad_fd, _ = spectral_fd(fam, mi.entropy_function(), a, 1e-4)
-            _, hess_fd = spectral_fd(fam, mi.entropy_function(), a, 1e-3)
+            res = mi.spectral_derivatives(*fam, mi.entropy_function(), a)
+            grad_fd, _ = spectral_fd(*fam, mi.entropy_function(), a, 1e-4)
+            _, hess_fd = spectral_fd(*fam, mi.entropy_function(), a, 1e-3)
             assert np.allclose(res.gradient, grad_fd, rtol=1e-4, atol=1e-7)
             assert np.allclose(res.hessian, hess_fd, rtol=1e-4, atol=1e-5)
 

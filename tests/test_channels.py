@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from backflow.channels import (
     DivisibilityVerdict,
+    ExtendedChannel,
     PauliChannelMap,
-    RateProfile,
-    apply_channel,
     choi_eigenvalues,
     choi_matrix,
     choi_min_eigenvalue,
@@ -22,7 +21,6 @@ from backflow.channels import (
     constant_rates,
     decay_factors,
     eternal_rates,
-    extend_with_identity,
     gksl_apply,
     intermediate_map,
     invert_channel,
@@ -92,17 +90,18 @@ class TestDecayFactors:
         direct = decay_factors(profile, 0.0, 1.4)
         assert np.allclose(compose(second, first).factors, direct.factors, atol=1e-14)
 
-    def test_quadrature_fallback_matches_exact(self):
-        # Same interpolant, once with the exact antiderivative and once via quad.
+    def test_table_integrals_match_quadrature(self):
+        # The exact antiderivative of the interpolant against adaptive quadrature.
+        from scipy.integrate import quad
+
         times = [0.0, 0.5, 1.0, 2.0]
         gammas = [[1.0, 0.8, 0.2], [0.9, 0.7, -0.1], [1.1, 0.6, -0.4], [1.0, 1.0, 0.3]]
-        exact = table_rates(times, gammas)
-        numeric = RateProfile(
-            evaluate=exact.evaluate, domain_end=exact.domain_end, pair_integrals=None
-        )
-        got = numeric.integrate_pair_sums(0.1, 1.7)
-        want = exact.integrate_pair_sums(0.1, 1.7)
-        assert np.allclose(got, want, atol=1e-8)
+        profile = table_rates(times, gammas)
+        want = [
+            quad(lambda t, k=k: profile.pair_sums(t)[k], 0.1, 1.7, points=times[1:3])[0]
+            for k in range(3)
+        ]
+        assert np.allclose(profile.integrate_pair_sums(0.1, 1.7), want, atol=1e-10)
 
 
 class TestRateTables:
@@ -157,22 +156,22 @@ class TestChannelAction:
         from backflow.linalg import PAULIS
 
         for d, sigma in zip(ch.factors, PAULIS[1:]):
-            out = apply_channel(ch, sigma)
+            out = ExtendedChannel(ch, ()).apply(sigma)
             assert np.allclose(out, d * sigma, atol=1e-14)
 
     def test_identity_fixed(self):
         ch = PauliChannelMap(0.5, 0.2, -0.1)
-        assert np.allclose(apply_channel(ch, np.eye(2, dtype=complex)), np.eye(2))
+        assert np.allclose(ExtendedChannel(ch, ()).apply(np.eye(2, dtype=complex)), np.eye(2))
 
     def test_density_matrix_round_trip(self):
         state = random_density_matrix(np.random.default_rng(0), 2)
-        out = apply_channel(PauliChannelMap(0.9, 0.9, 0.9), state)
+        out = ExtendedChannel(PauliChannelMap(0.9, 0.9, 0.9), ()).apply_state(state)
         assert isinstance(out, DensityMatrix)
         assert np.trace(as_matrix(out)).real == pytest.approx(1.0)
 
     def test_rejects_larger_operator(self):
         with pytest.raises(DimensionMismatchError):
-            apply_channel(PauliChannelMap(1.0, 1.0, 1.0), np.eye(4, dtype=complex) / 4)
+            ExtendedChannel(PauliChannelMap(1.0, 1.0, 1.0), ()).apply(np.eye(4, dtype=complex) / 4)
 
     def test_invert_channel_round_trip(self):
         ch = PauliChannelMap(0.7, 0.5, 0.3)
@@ -188,13 +187,13 @@ class TestChannelAction:
         anc = as_matrix(random_density_matrix(rng, 3))
         qubit = as_matrix(random_density_matrix(rng, 2))
         ch = PauliChannelMap(0.4, 0.6, 0.8)
-        ext = extend_with_identity(ch, (3,))
+        ext = ExtendedChannel(ch, (3,))
         got = ext.apply(np.kron(anc, qubit))
-        want = np.kron(anc, apply_channel(ch, qubit))
+        want = np.kron(anc, ExtendedChannel(ch, ()).apply(qubit))
         assert np.allclose(got, want, atol=1e-13)
 
     def test_extended_shape_check(self):
-        ext = extend_with_identity(PauliChannelMap(1.0, 1.0, 1.0), (3,))
+        ext = ExtendedChannel(PauliChannelMap(1.0, 1.0, 1.0), (3,))
         with pytest.raises(DimensionMismatchError):
             ext.apply(np.eye(4, dtype=complex) / 4)
 
@@ -214,7 +213,7 @@ class TestChannelAction:
             for q, sigma in zip(ch.mixing_weights(), PAULIS):
                 lift = np.kron(np.eye(anc), sigma)
                 want += q * lift @ m @ lift.conj().T
-            assert np.array_equal(extend_with_identity(ch, ancilla_dims).apply(m), want)
+            assert np.array_equal(ExtendedChannel(ch, ancilla_dims).apply(m), want)
 
 
 class TestChoi:
@@ -303,9 +302,9 @@ class TestGenerator:
         rng = np.random.default_rng(17)
         state = random_density_matrix(rng, 2)
         t, h = 0.8, 1e-6
-        rho_t = as_matrix(apply_channel(decay_factors(profile, 0.0, t), state))
-        plus = as_matrix(apply_channel(decay_factors(profile, 0.0, t + h), state))
-        minus = as_matrix(apply_channel(decay_factors(profile, 0.0, t - h), state))
+        rho_t = ExtendedChannel(decay_factors(profile, 0.0, t), ()).apply(state)
+        plus = ExtendedChannel(decay_factors(profile, 0.0, t + h), ()).apply(state)
+        minus = ExtendedChannel(decay_factors(profile, 0.0, t - h), ()).apply(state)
         fd = (plus - minus) / (2.0 * h)
         gksl = gksl_apply(gen, rho_t, t)
         assert np.max(np.abs(fd - gksl)) < 1e-6

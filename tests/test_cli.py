@@ -94,6 +94,8 @@ class TestConfigValidation:
             lambda c: c.__setitem__("output", ""),
             lambda c: c.__setitem__("switch_time", -1.0),
             lambda c: c.__setitem__("budget", {"restarts": 1}),
+            lambda c: c.__setitem__("tolerances", {"negativity": 1e-10}),
+            lambda c: c.__setitem__("budget", {"max_iterations": 5}),
         ],
     )
     def test_rejects_bad_fields(self, tmp_path, mutate):
@@ -188,6 +190,19 @@ class TestNonFiniteAndNonIntegralInput:
             lambda c, d: c.__setitem__("tolerances", {"band": None}),
             lambda c, d: c.__setitem__("tolerances", {"band": [1e-8]}),
             lambda c, d: c.__setitem__("tolerances", [1e-8]),
+            lambda c, d: c.__setitem__("switch_time", True),
+            lambda c, d: c.__setitem__("tolerances", {"band": True}),
+            lambda c, d: c["grid"].__setitem__("t_start", False),
+            lambda c, d: c.__setitem__("profile", {"preset": "constant", "rates": [True, 1, 1]}),
+            lambda c, d: c.__setitem__(
+                "profile",
+                {
+                    "preset": "shrink-burst",
+                    "epsilon": 0.1,
+                    "t_activate": True,
+                    "base": {"preset": "eternal"},
+                },
+            ),
         ],
         ids=[
             "constant-nan-rate",
@@ -210,6 +225,11 @@ class TestNonFiniteAndNonIntegralInput:
             "null-tolerance",
             "list-tolerance",
             "tolerances-not-object",
+            "boolean-switch-time",
+            "boolean-tolerance",
+            "boolean-grid-start",
+            "boolean-rate",
+            "boolean-burst-activate",
         ],
     )
     def test_exits_config_without_csv(self, tmp_path, capsys, mutate):

@@ -277,11 +277,11 @@ class TestScenario:
 
     def test_probe_state_stays_ppt(self, canonical_report):
         # reproduce clause (b) directly from channel factors
-        from backflow.channels import extend_with_identity
+        from backflow.channels import ExtendedChannel
 
         phi = max_entangled_state(2)
         comp_pre = constant_rates(2.0, 2.0, 2.0)
         lam = decay_factors(comp_pre, 0.0, 1.0)
-        evolved = extend_with_identity(lam, (2,)).apply(phi.matrix)
+        evolved = ExtendedChannel(lam, (2,)).apply(phi.matrix)
         state = DensityMatrix(matrix=evolved, dims=(2, 2), _skip_checks=True)
         assert negativity(state) <= NEGATIVITY_TOL

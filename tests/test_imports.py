@@ -1,9 +1,11 @@
-"""Import hygiene: modules share only public names, and leave no dead imports or helpers."""
+"""Import hygiene: modules share only public names, and leave no dead imports, helpers or knobs."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from backflow import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backflow"
 
@@ -103,3 +105,31 @@ def test_every_private_helper_is_referenced():
         if (names := unreferenced_private_helpers(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def unread_tolerances(source: str, keys) -> list[str]:
+    """Tolerance keys that no `config.tolerances["key"]` subscript in source reads."""
+    read = {
+        node.slice.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "tolerances"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "config"
+        and isinstance(node.slice, ast.Constant)
+    }
+    return sorted(set(keys) - read)
+
+
+def test_guard_sees_unread_tolerance():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert unread_tolerances(source, [*cli._DEFAULT_TOLERANCES, "negativity"]) == ["negativity"]
+    assert unread_tolerances(
+        'config.tolerances["band"]\ntolerances["didt"]\n', ["band", "didt"]
+    ) == ["didt"]
+
+
+def test_every_tolerance_is_read():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert unread_tolerances(source, cli._DEFAULT_TOLERANCES) == []

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from backflow import mutinfo as mi
 from backflow.channels import (
+    ExtendedChannel,
     constant_rates,
     decay_factors,
     eternal_rates,
-    extend_with_identity,
     intermediate_map,
     is_cp_divisible_at,
     is_p_divisible_at,
@@ -176,11 +176,14 @@ class TestDidt:
             mi.didt_batch(np.eye(3)[None], eternal_rates(), 0.5)
 
 
-def spectral_fd(family, f, a, step):
+def spectral_fd(base, dirs, f, a, step):
     """Central-difference gradient and Hessian of f(spectrum(A(a)))."""
 
     def val(x):
-        return f.value(np.linalg.eigvalsh(family.matrix(x)))
+        mat = np.array(base, dtype=complex)
+        for xi, d in zip(x, dirs):
+            mat += xi * d
+        return f.value(np.linalg.eigvalsh(mat))
 
     m = a.size
     grad = np.zeros(m)
@@ -206,8 +209,8 @@ class TestSpectralDerivatives:
     def test_trace_function_gradient_and_flat_hessian(self):
         rng = np.random.default_rng(3)
         dirs = [random_hermitian(rng, 3) for _ in range(2)]
-        fam = mi.affine_family(3.0 * np.eye(3) + 0.1 * random_hermitian(rng, 3), dirs)
-        res = mi.spectral_derivatives(fam, mi.trace_function(), np.array([0.2, -0.1]))
+        fam = (3.0 * np.eye(3) + 0.1 * random_hermitian(rng, 3), dirs)
+        res = mi.spectral_derivatives(*fam, mi.trace_function(), np.array([0.2, -0.1]))
         for got, b in zip(res.gradient, dirs):
             assert got == pytest.approx(np.trace(b).real, abs=1e-12)
         assert np.max(np.abs(res.hessian)) < 1e-12
@@ -219,18 +222,18 @@ class TestSpectralDerivatives:
             gradient=lambda lam: 2.0 * lam,
             hessian=lambda lam: 2.0 * np.eye(lam.size),
         )
-        fam = mi.affine_family(
+        fam = (
             np.zeros((2, 2), dtype=complex), [np.diag([1.0, -1.0]).astype(complex)]
         )
-        res = mi.spectral_derivatives(fam, f, np.array([a1]))
+        res = mi.spectral_derivatives(*fam, f, np.array([a1]))
         assert res.gradient[0] == pytest.approx(4.0 * a1, abs=1e-12)
         assert res.hessian[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_entropy_along_e12_analytic(self):
         # eigenvalues are 1/4 +- a twice, so dS/da = -2 ln((1/4+a)/(1/4-a))
-        fam = mi.affine_family(0.25 * np.eye(4, dtype=complex), [mi.PAULI_PRODUCT_BASIS[12]])
+        fam = (0.25 * np.eye(4, dtype=complex), [mi.PAULI_PRODUCT_BASIS[12]])
         for a in (0.05, -0.12, 0.2):
-            res = mi.spectral_derivatives(fam, mi.entropy_function(), np.array([a]))
+            res = mi.spectral_derivatives(*fam, mi.entropy_function(), np.array([a]))
             want_g = -2.0 * math.log((0.25 + a) / (0.25 - a))
             want_h = -2.0 / (0.25 + a) - 2.0 / (0.25 - a)
             assert res.gradient[0] == pytest.approx(want_g, rel=1e-12)
@@ -241,24 +244,24 @@ class TestSpectralDerivatives:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 5))
         n_par = int(rng.integers(1, 4))
-        fam = mi.affine_family(
+        fam = (
             np.eye(dim) + 0.05 * random_hermitian(rng, dim),
             [0.1 * random_hermitian(rng, dim) for _ in range(n_par)],
         )
         a = rng.uniform(-0.3, 0.3, size=n_par)
-        res = mi.spectral_derivatives(fam, mi.entropy_function(), a)
-        grad_fd, _ = spectral_fd(fam, mi.entropy_function(), a, 1e-4)
-        _, hess_fd = spectral_fd(fam, mi.entropy_function(), a, 1e-3)
+        res = mi.spectral_derivatives(*fam, mi.entropy_function(), a)
+        grad_fd, _ = spectral_fd(*fam, mi.entropy_function(), a, 1e-4)
+        _, hess_fd = spectral_fd(*fam, mi.entropy_function(), a, 1e-3)
         assert np.allclose(res.gradient, grad_fd, rtol=1e-4, atol=1e-7)
         assert np.allclose(res.hessian, hess_fd, rtol=1e-4, atol=1e-5)
 
     def test_workspace_invariants_nondegenerate(self):
         rng = np.random.default_rng(9)
-        fam = mi.affine_family(
+        fam = (
             np.diag([1.0, 2.0, 3.5]).astype(complex),
             [random_hermitian(rng, 3) for _ in range(2)],
         )
-        res = mi.spectral_derivatives(fam, mi.entropy_function(), np.array([0.05, -0.02]))
+        res = mi.spectral_derivatives(*fam, mi.entropy_function(), np.array([0.05, -0.02]))
         assert np.max(np.abs(res.workspace.eta)) == 0.0
         alpha = res.workspace.alpha
         assert np.max(np.abs(alpha - alpha.transpose(1, 0, 2, 3))) < 1e-12
@@ -266,25 +269,25 @@ class TestSpectralDerivatives:
     def test_degenerate_cluster_still_matches_fd(self):
         # fully degenerate base spectrum; entropy curvature is finite there
         rng = np.random.default_rng(21)
-        fam = mi.affine_family(
+        fam = (
             0.25 * np.eye(4, dtype=complex), [0.1 * random_hermitian(rng, 4) for _ in range(3)]
         )
         a = np.zeros(3)
-        res = mi.spectral_derivatives(fam, mi.entropy_function(), a)
+        res = mi.spectral_derivatives(*fam, mi.entropy_function(), a)
         assert np.max(np.abs(res.workspace.eta)) > 0.0
-        grad_fd, _ = spectral_fd(fam, mi.entropy_function(), a, 1e-4)
-        _, hess_fd = spectral_fd(fam, mi.entropy_function(), a, 1e-3)
+        grad_fd, _ = spectral_fd(*fam, mi.entropy_function(), a, 1e-4)
+        _, hess_fd = spectral_fd(*fam, mi.entropy_function(), a, 1e-3)
         assert np.allclose(res.gradient, grad_fd, rtol=1e-4, atol=1e-7)
         assert np.allclose(res.hessian, hess_fd, rtol=1e-4, atol=1e-5)
 
     def test_tie_break_choice_does_not_matter(self):
         rng = np.random.default_rng(33)
-        fam = mi.affine_family(
+        fam = (
             0.25 * np.eye(4, dtype=complex), [0.1 * random_hermitian(rng, 4) for _ in range(3)]
         )
-        first = mi.spectral_derivatives(fam, mi.entropy_function(), np.zeros(3))
+        first = mi.spectral_derivatives(*fam, mi.entropy_function(), np.zeros(3))
         second = mi.spectral_derivatives(
-            fam, mi.entropy_function(), np.zeros(3), tie_break_direction=1
+            *fam, mi.entropy_function(), np.zeros(3), tie_break_direction=1
         )
         assert np.allclose(first.gradient, second.gradient, atol=1e-10)
         assert np.allclose(first.hessian, second.hessian, atol=1e-10)
@@ -296,11 +299,11 @@ class TestSpectralDerivatives:
             hessian=lambda lam: np.diag(-0.25 * np.abs(lam) ** -1.5),
         )
         rng = np.random.default_rng(4)
-        fam = mi.affine_family(
+        fam = (
             np.diag([0.0, 0.0, 1.0]).astype(complex), [random_hermitian(rng, 3)]
         )
         with pytest.raises(DegenerateSpectrumError):
-            mi.spectral_derivatives(fam, sqrt_f, np.zeros(1))
+            mi.spectral_derivatives(*fam, sqrt_f, np.zeros(1))
 
 
 class TestHessianAtStationary:
@@ -431,7 +434,7 @@ class TestBoundaryFlatness:
         coords = mi.coords_from_state(state)
         assert coords.a[12] == pytest.approx(0.25, abs=1e-12)
         assert mi.mutual_information(state) <= 1e-10
-        ch = extend_with_identity(intermediate_map(eternal_rates(), 0.3, 0.9), (2,))
+        ch = ExtendedChannel(intermediate_map(eternal_rates(), 0.3, 0.9), (2,))
         assert mi.mutual_information(ch.apply_state(state)) <= 1e-10
 
 
@@ -461,6 +464,30 @@ class TestNeighborhoodScan:
         threaded = mi.neighborhood_scan(constant_rates(1, 1, -3), 0.5, 0.1, threads=4, **kw)
         assert base == again == threaded
 
+    def test_worker_count_capped_at_cores(self, monkeypatch):
+        # a fake pool that maps serially: records the requested size, starts no thread
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(mi, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(mi.os, "cpu_count", lambda: 3)
+        args = (constant_rates(1, 1, -3), 0.5, 0.1, 1e-2, 256)
+        capped = mi.neighborhood_didt(*args, threads=100_000)
+        assert requested == [3]
+        np.testing.assert_array_equal(capped, mi.neighborhood_didt(*args))
+
     def test_boundary_center_rejected(self):
         with pytest.raises(BoundaryParameterError):
             mi.neighborhood_scan(eternal_rates(), 1.0, 0.25, radius=1e-2, samples=64)
@@ -477,7 +504,7 @@ class TestBurstComposition:
             # the tail keeps the original profile: P-divisible but not CP-div
             assert is_p_divisible_at(tuned, t)
             assert not is_cp_divisible_at(tuned, t)
-            ch = extend_with_identity(decay_factors(tuned, 0.0, t), (2,))
+            ch = ExtendedChannel(decay_factors(tuned, 0.0, t), (2,))
             mats = []
             while len(mats) < 60:
                 raw = random_density_matrix(rng, 4)

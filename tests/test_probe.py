@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from backflow.channels import (
+    ExtendedChannel,
     PauliChannelMap,
     choi_matrix,
     choi_min_eigenvalue,
     constant_rates,
     decay_factors,
     eternal_rates,
-    extend_with_identity,
     intermediate_map,
 )
 from backflow.ensembles import correlation_C_general, correlation_CA2, correlation_CB2
@@ -53,7 +53,7 @@ GAP_DT = 0.2
 
 
 def expansion_ratio(ch: PauliChannelMap, direction: np.ndarray) -> float:
-    ext = extend_with_identity(ch, (direction.shape[0] // 2,))
+    ext = ExtendedChannel(ch, (direction.shape[0] // 2,))
     return trace_norm(ext.apply(direction))
 
 
@@ -77,7 +77,7 @@ def handmade_pair(epsilon=0.05):
 
 
 def pair_distance_at(pair: ProbePair, rates, t: float) -> float:
-    ext = extend_with_identity(decay_factors(rates, 0.0, t), (pair.rho1_0.dims[0],))
+    ext = ExtendedChannel(decay_factors(rates, 0.0, t), (pair.rho1_0.dims[0],))
     return 0.25 * trace_norm(ext.apply(pair.rho1_0.matrix - pair.rho2_0.matrix))
 
 
@@ -154,7 +154,7 @@ class TestPullBackPair:
         ch = intermediate_map(ETERNAL, tau, 1.0)
         direction = trace_norm_expansion_direction(ch)
         pair = pull_back_pair(direction, ETERNAL, tau)
-        fwd = extend_with_identity(decay_factors(ETERNAL, 0.0, tau), (2,))
+        fwd = ExtendedChannel(decay_factors(ETERNAL, 0.0, tau), (2,))
         evolved_diff = fwd.apply(pair.rho1_0.matrix - pair.rho2_0.matrix)
         assert np.allclose(evolved_diff / trace_norm(evolved_diff), direction, atol=1e-10)
 
