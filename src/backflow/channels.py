@@ -32,6 +32,8 @@ from .errors import (
 from .linalg import PAULIS, DensityMatrix, as_matrix, max_entangled_state
 
 _TIME_SLACK = 1e-12
+# a rate or pair sum this far below zero still counts as non-negative
+_RATE_TOL = 1e-12
 _SIGN_Z = np.array([[1.0, -1.0], [-1.0, 1.0]])[None, :, None, :]
 
 
@@ -73,6 +75,8 @@ class RateProfile:
 
 
 def _check_interval(profile: RateProfile, t0: float, t1: float) -> None:
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise NonFiniteError(f"interval ends must be finite, got ({t0}, {t1})")
     if t0 < -_TIME_SLACK or t1 < t0 - _TIME_SLACK:
         raise TimeOrderViolationError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
     if t1 > profile.domain_end + _TIME_SLACK:
@@ -223,6 +227,12 @@ class PauliChannelMap:
     d_y: float
     d_z: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.d_x, self.d_y, self.d_z))):
+            raise NonFiniteError(
+                f"decay factors must be finite, got ({self.d_x}, {self.d_y}, {self.d_z})"
+            )
+
     @property
     def factors(self) -> np.ndarray:
         return np.array([self.d_x, self.d_y, self.d_z])
@@ -250,8 +260,8 @@ def intermediate_map(rates: RateProfile, t: float, s: float) -> PauliChannelMap:
     return decay_factors(rates, t, s)
 
 
-def invert_channel(ch: PauliChannelMap, tol: float = 1e-13) -> PauliChannelMap:
-    if np.any(np.abs(ch.factors) <= tol):
+def invert_channel(ch: PauliChannelMap) -> PauliChannelMap:
+    if np.any(np.abs(ch.factors) <= 1e-13):
         raise NonBijectiveError("a decay factor is numerically zero; cannot invert")
     return PauliChannelMap(d_x=1.0 / ch.d_x, d_y=1.0 / ch.d_y, d_z=1.0 / ch.d_z)
 
@@ -320,18 +330,18 @@ def choi_min_eigenvalue(ch: PauliChannelMap) -> float:
     return float(choi_eigenvalues(ch)[0])
 
 
-def is_cp(ch: PauliChannelMap, tol: float = 1e-10) -> bool:
-    return choi_min_eigenvalue(ch) >= -tol
+def is_cp(ch: PauliChannelMap) -> bool:
+    return choi_min_eigenvalue(ch) >= -1e-10
 
 
-def is_cp_divisible_at(rates: RateProfile, t: float, tol: float = 1e-12) -> bool:
+def is_cp_divisible_at(rates: RateProfile, t: float) -> bool:
     """Pointwise test: all three rates non-negative."""
-    return bool(np.all(rates.rates(t) >= -tol))
+    return bool(np.all(rates.rates(t) >= -_RATE_TOL))
 
 
-def is_p_divisible_at(rates: RateProfile, t: float, tol: float = 1e-12) -> bool:
+def is_p_divisible_at(rates: RateProfile, t: float) -> bool:
     """Pointwise test: all pairwise rate sums non-negative."""
-    return bool(np.all(rates.pair_sums(t) >= -tol))
+    return bool(np.all(rates.pair_sums(t) >= -_RATE_TOL))
 
 
 @dataclass(frozen=True)
@@ -346,7 +356,7 @@ class DivisibilityVerdict:
 
 
 def classify_interval(
-    rates: RateProfile, pairs: Sequence[tuple[float, float]], rate_tol: float = 1e-12
+    rates: RateProfile, pairs: Sequence[tuple[float, float]]
 ) -> list[DivisibilityVerdict]:
     """Pointwise rate tests at t combined with the Choi test of V_{s,t}."""
     verdicts = []
@@ -360,8 +370,8 @@ def classify_interval(
                 gammas=(float(gx), float(gy), float(gz)),
                 decay=ch,
                 choi_min_eig=choi_min_eigenvalue(ch),
-                cp_divisible=is_cp_divisible_at(rates, t, rate_tol),
-                p_divisible=is_p_divisible_at(rates, t, rate_tol),
+                cp_divisible=is_cp_divisible_at(rates, t),
+                p_divisible=is_p_divisible_at(rates, t),
             )
         )
     return verdicts

@@ -99,6 +99,7 @@ _NUMERICAL_ERRORS = (
     EpsilonRangeError,
     DegenerateSpectrumError,
     np.linalg.LinAlgError,
+    OverflowError,  # a decay factor exp(-integral) beyond the float range
 )
 
 # what reading a rate table or building a preset can raise on bad input

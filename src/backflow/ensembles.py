@@ -92,7 +92,7 @@ class MePovmCertificate:
     max_deviation: float
 
 
-def is_me_povm(povm: Povm, state: DensityMatrix, tol: float = ME_PROB_TOL) -> MePovmCertificate:
+def is_me_povm(povm: Povm, state: DensityMatrix) -> MePovmCertificate:
     """Check whether every outcome is equiprobable on the given state."""
     if povm.dim != state.dim:
         raise DimensionMismatchError(
@@ -101,7 +101,9 @@ def is_me_povm(povm: Povm, state: DensityMatrix, tol: float = ME_PROB_TOL) -> Me
     n = povm.n_outputs
     probs = tuple(float(np.trace(state.matrix @ e).real) for e in povm.effects)
     dev = max(abs(p - 1.0 / n) for p in probs)
-    return MePovmCertificate(equiprobable=dev <= tol, probabilities=probs, max_deviation=dev)
+    return MePovmCertificate(
+        equiprobable=dev <= ME_PROB_TOL, probabilities=probs, max_deviation=dev
+    )
 
 
 def construct_me_povm(state: DensityMatrix, n_outputs: int = 2) -> Povm:
@@ -273,9 +275,9 @@ class DiscriminationResult:
         return self.value
 
 
-def _pinv_sqrt(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(mat)
-    inv = np.where(w > tol, 1.0 / np.sqrt(np.clip(w, tol, None)), 0.0)
+    inv = np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-12, None)), 0.0)
     return (u * inv) @ u.conj().T
 
 
@@ -651,22 +653,22 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
     return max(ascend(p0) for p0 in starts)
 
 
-def _is_flag_diagonal(state: DensityMatrix, flag: int = 0) -> bool:
-    """True when the state has no coherence across the flag qubit."""
-    if state.dims[flag] != 2:
+def _is_flag_diagonal(state: DensityMatrix) -> bool:
+    """True when the state has no coherence across the flag qubit (factor 0)."""
+    if state.dims[0] != 2:
         return False
-    mat, _, half = _bipartition(state, (flag,))
+    mat, _, half = _bipartition(state, (0,))
     return bool(np.max(np.abs(mat[:half, half:])) < 1e-12)
 
 
-def _flag_blocks(state: DensityMatrix, flag: int = 0) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _flag_blocks(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Diagonal blocks (unnormalized conditional states) of a flag-diagonal state."""
-    mat, _, half = _bipartition(state, (flag,))
+    mat, _, half = _bipartition(state, (0,))
     b0, b1 = mat[:half, :half], mat[half:, half:]
     return b0, b1, float(np.trace(b0).real), float(np.trace(b1).real)
 
 
-def _two_output_me_flag_exact(state: DensityMatrix, flag: int = 0) -> float:
+def _two_output_me_flag_exact(state: DensityMatrix) -> float:
     """Exact best value when measuring the side opposite a classical flag.
 
     For a flag-diagonal state the value is max_P |Tr[(B0 - B1) P] + 1/2 - p0|
@@ -675,7 +677,7 @@ def _two_output_me_flag_exact(state: DensityMatrix, flag: int = 0) -> float:
     Lagrangian dual is a one-dimensional convex minimization; strong duality
     holds because P = 1/2 is strictly feasible.
     """
-    b0, b1, p0, _ = _flag_blocks(state, flag)
+    b0, b1, p0, _ = _flag_blocks(state)
     diff = 0.5 * ((b0 - b1) + (b0 - b1).conj().T)
     tot = 0.5 * ((b0 + b1) + (b0 + b1).conj().T)
 
@@ -707,8 +709,8 @@ def correlation_CB2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
     _, d_meas, _ = _bipartition(state, b_factors)
     if d_meas == 2:
         return _two_output_me_qubit(state, b_factors, budget)
-    if tuple(a_factors) == (0,) and state.dims[0] == 2 and _is_flag_diagonal(state, 0):
-        return _two_output_me_flag_exact(state, 0)
+    if tuple(a_factors) == (0,) and _is_flag_diagonal(state):
+        return _two_output_me_flag_exact(state)
     return _two_output_me_general(state, b_factors, budget)
 
 
@@ -747,7 +749,7 @@ def _flag_measured_n_output_pg(state: DensityMatrix, n: int,
     and the payoff is relabeling-invariant. One discrimination run suffices.
     """
     budget = budget or OptimizerBudget()
-    b0, b1, p0, p1 = _flag_blocks(state, 0)
+    b0, b1, p0, p1 = _flag_blocks(state)
     if not (abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9):
         raise DimensionMismatchError("flag marginal is not uniform")
     cap = 2.0 / n
@@ -775,7 +777,7 @@ def _flag_opposite_n_output_pg(state: DensityMatrix, n: int,
     Coordinate ascent alternates two exactly solvable linear steps.
     """
     budget = budget or OptimizerBudget()
-    b0, b1, _, _ = _flag_blocks(state, 0)
+    b0, b1, _, _ = _flag_blocks(state)
     d = b0.shape[0]
     b0 = 0.5 * (b0 + b0.conj().T)
     b1 = 0.5 * (b1 + b1.conj().T)
@@ -864,7 +866,6 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
 
 
 def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
-                          a_factors: Sequence[int] = (0,),
                           budget: OptimizerBudget | None = None) -> float:
     """Best equiprobable-measurement advantage over 2..max_outputs outcomes.
 
@@ -874,10 +875,10 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     """
     if max_outputs < 2 or max_outputs > 4:
         raise DimensionMismatchError("max_outputs must be between 2 and 4")
-    a_factors = tuple(a_factors)
+    a_factors = (0,)
     best = correlation_C2(state, a_factors, budget)
-    b_factors = tuple(k for k in range(len(state.dims)) if k not in a_factors)
-    flaggy = a_factors == (0,) and state.dims[0] == 2 and _is_flag_diagonal(state, 0)
+    b_factors = tuple(range(1, len(state.dims)))
+    flaggy = _is_flag_diagonal(state)
     for n in range(3, max_outputs + 1):
         if flaggy:
             try:
@@ -906,14 +907,9 @@ class LocalChannel:
         return self.kraus[0].shape[1]
 
 
-def random_local_cptp(dim: int, seed: int, kraus_rank: int | None = None) -> LocalChannel:
-    """Haar-style random channel via isometry completion.
-
-    kraus_rank = 0 returns the identity channel (the seed is ignored then).
-    """
-    if kraus_rank == 0:
-        return LocalChannel(kraus=(np.eye(dim, dtype=complex),))
-    k = kraus_rank if kraus_rank is not None else dim * dim
+def random_local_cptp(dim: int, seed: int) -> LocalChannel:
+    """Haar-style random channel with dim^2 Kraus operators, via isometry completion."""
+    k = dim * dim
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim * k, dim)) + 1j * rng.normal(size=(dim * k, dim))
     q, r = np.linalg.qr(g)

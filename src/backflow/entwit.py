@@ -124,7 +124,6 @@ def scenario_entanglement_blind(
     switch_time: float,
     grid: Sequence[float],
     epsilon: float = 0.05,
-    threads: int | None = None,
 ) -> EntanglementBlindReport:
     """Certify correlation backflow on dynamics that keep every state PPT.
 
@@ -134,8 +133,7 @@ def scenario_entanglement_blind(
     naming the failing clause.  The report carries, per grid time, the
     negativity of the evolved maximally entangled probe, the minimal
     Choi eigenvalue of the intermediate map over the following grid
-    step, and the pair distance of the backflow probe pair. threads is
-    accepted and ignored; only the mutinfo sample batches use threads.
+    step, and the pair distance of the backflow probe pair.
     """
     if not 0.0 < switch_time < math.inf:
         raise PreconditionError("switch time must be positive and finite")
@@ -152,7 +150,7 @@ def scenario_entanglement_blind(
     _validate_grid(times, switch_time, composite.domain_end)
 
     for t in np.linspace(0.0, switch_time, _PRE_SAMPLES):
-        if not is_cp_divisible_at(prelude_rates, float(t), tol=_RATE_TOL):
+        if not is_cp_divisible_at(prelude_rates, float(t)):
             raise PreconditionError(
                 f"prelude must be CP-divisible: negative rate at t={t:.6g}"
             )
@@ -164,7 +162,7 @@ def scenario_entanglement_blind(
     horizon = float(times[-1]) - switch_time
     has_negative_rate = False
     for t in np.linspace(0.0, horizon, _PRE_SAMPLES):
-        if not is_p_divisible_at(continuation_rates, float(t), tol=_RATE_TOL):
+        if not is_p_divisible_at(continuation_rates, float(t)):
             raise PreconditionError(
                 f"continuation must be P-divisible: negative pair sum at t={t:.6g}"
             )

@@ -40,17 +40,17 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitianError if max |M - M^dagger| exceeds tol, and
-    EigenConvergenceError if the underlying solver fails.
+    Raises NotHermitianError if max |M - M^dagger| exceeds HERMITICITY_TOL,
+    and EigenConvergenceError if the underlying solver fails.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {matrix.shape}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by more than {tol}")
+    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
+        raise NotHermitianError(f"matrix deviates from Hermitian by more than {HERMITICITY_TOL}")
     try:
         w, u = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -101,9 +101,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def as_matrix(state) -> np.ndarray:
     """Accept DensityMatrix or ndarray and return the underlying array."""
@@ -132,26 +129,20 @@ def max_entangled_state(local_dim: int = 2) -> DensityMatrix:
     return pure_state(v, (local_dim, local_dim))
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    """Ginibre-induced random state; full rank unless rank is given."""
-    r = rank if rank is not None else dim
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Ginibre-induced random state of full rank."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     return DensityMatrix(matrix=mat, dims=(dim,))
 
 
-def partial_trace(state, keep, dims=None) -> DensityMatrix:
+def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all subsystems not listed in keep.
 
     keep preserves the original ordering of the retained factors.
     """
-    if isinstance(state, DensityMatrix):
-        mat, sys_dims = state.matrix, state.dims
-    else:
-        if dims is None:
-            raise DimensionMismatchError("dims required when tracing a bare array")
-        mat, sys_dims = np.asarray(state, dtype=complex), tuple(dims)
+    mat, sys_dims = state.matrix, state.dims
     keep = sorted(set(int(k) for k in keep))
     n = len(sys_dims)
     if any(k < 0 or k >= n for k in keep):
@@ -184,10 +175,10 @@ def partial_transpose(matrix: np.ndarray, dims, subsystem: int) -> np.ndarray:
     return tensor.reshape(mat.shape)
 
 
-def trace_norm(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(matrix: np.ndarray) -> float:
     """Sum of absolute eigenvalues; Hermitian input only."""
     matrix = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(matrix - matrix.conj().T)) > tol:
+    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError("trace_norm is implemented for Hermitian matrices only")
     return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
 
@@ -199,8 +190,8 @@ def trace_distance(state_a, state_b) -> float:
     return 0.5 * trace_norm(a - b)
 
 
-def von_neumann_entropy(state, base: float | None = None) -> float:
-    """-Tr(rho ln rho); natural log unless base is given.
+def von_neumann_entropy(state) -> float:
+    """-Tr(rho ln rho), in natural log units.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero and anything below 1e-14
     contributes nothing; an eigenvalue under -1e-10 is rejected.
@@ -211,11 +202,4 @@ def von_neumann_entropy(state, base: float | None = None) -> float:
         raise InvalidStateError(f"eigenvalue {w[0]:.3e} below -1e-10")
     w = np.where(w < ENTROPY_CLAMP, 0.0, w)
     nz = w[w > 0]
-    s = float(-(nz * np.log(nz)).sum())
-    if base is not None:
-        s /= np.log(base)
-    return s
-
-
-def is_positive_semidefinite(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))[0] >= -tol)
+    return float(-(nz * np.log(nz)).sum())

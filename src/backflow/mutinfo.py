@@ -172,7 +172,6 @@ def spectral_derivatives(
     directions: Sequence[np.ndarray],
     f: SpectralFunction,
     a: np.ndarray,
-    degeneracy_tol: float = DEGENERACY_TOL,
     tie_break_direction: int = 0,
 ) -> SpectralDerivativeResult:
     """Gradient and Hessian of f(spectrum(A(a))) at a, for A(a) = base + sum_i a_i d_i.
@@ -194,7 +193,7 @@ def spectral_derivatives(
     u = dec.eigenvectors.copy()
     n = lam.size
 
-    clusters = _cluster_indices(lam, degeneracy_tol)
+    clusters = _cluster_indices(lam, DEGENERACY_TOL)
     for cluster in clusters:
         if len(cluster) < 2:
             continue
@@ -267,12 +266,10 @@ def _damping_per_coordinate(rates: RateProfile, t: float) -> np.ndarray:
     return out
 
 
-def didt_batch(
-    matrices: np.ndarray, rates: RateProfile, t: float, interior_tol: float = INTERIOR_TOL
-) -> np.ndarray:
+def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray:
     """Chain-rule d/dt of the mutual information for a stack of (4, 4) states.
 
-    Entries whose state has an eigenvalue at or below interior_tol come back
+    Entries whose state has an eigenvalue at or below INTERIOR_TOL come back
     as NaN; the derivative is not defined there.
     """
     mats = np.asarray(matrices, dtype=complex)
@@ -284,7 +281,7 @@ def didt_batch(
     coords = 0.25 * np.einsum("nab,iba->ni", mats, _BASIS_STACK).real
 
     lam, u = np.linalg.eigh(mats)
-    bad = lam[:, 0] <= interior_tol
+    bad = lam[:, 0] <= INTERIOR_TOL
     lam_safe = np.where(lam > 0, lam, 1.0)
     fp = -(1.0 + np.log(lam_safe))                                  # (n, 4)
     e_mov = _BASIS_STACK[_MOVING]                                   # (12, 4, 4)
@@ -317,10 +314,9 @@ def didt(state: DensityMatrix, rates: RateProfile, t: float) -> float:
     return float(didt_batch(state.matrix[None], rates, t)[0])
 
 
-def didt_finite_difference(
-    state: DensityMatrix, rates: RateProfile, t: float, step: float = 1e-5
-) -> float:
+def didt_finite_difference(state: DensityMatrix, rates: RateProfile, t: float) -> float:
     """Central difference of I under the intermediate map, as an oracle."""
+    step = 1e-5
     _require_two_qubits(state)
     if float(np.linalg.eigvalsh(state.matrix)[0]) <= INTERIOR_TOL:
         raise BoundaryStateError("state eigenvalue at or below 1e-8; didt undefined")
@@ -582,7 +578,6 @@ def neighborhood_scan(
     radius: float,
     samples: int,
     tolerance: float = 1e-10,
-    threads: int | None = None,
     seed: int = 0,
 ) -> NeighborhoodScanReport:
     """Fraction of sampled neighbourhood states with didt above tolerance.
@@ -590,7 +585,7 @@ def neighborhood_scan(
     Summarizes neighborhood_didt: points that leave the state set are
     dropped from the denominator.
     """
-    values = neighborhood_didt(rates, t, a_12, radius, samples, threads=threads, seed=seed)
+    values = neighborhood_didt(rates, t, a_12, radius, samples, seed=seed)
     valid = ~np.isnan(values)
     n_valid = int(valid.sum())
     if n_valid == 0:

@@ -34,6 +34,7 @@ from .channels import (
 from .ensembles import OptimizerBudget, correlation_CA2
 from .errors import (
     DimensionMismatchError,
+    EpsilonRangeError,
     ExpansionNotFoundError,
     InvalidStateError,
     ScaleUnderflowError,
@@ -53,6 +54,7 @@ _RATIO_GAIN = 1e-10
 # so detect_backflow upgrades to the three-level ancilla construction
 _WEAK_RATIO_GAIN = 1e-5
 _SHRINK_LIMIT = 60
+_ASCENT_STEPS = 300
 _ANCILLA_DIMS = (2, 3)
 
 
@@ -64,7 +66,6 @@ class ProbePair:
     rho2_0: DensityMatrix
     tau: float
     perturbation_scale: float
-    delta_t: float = 0.0
 
     def __post_init__(self):
         d1, d2 = tuple(self.rho1_0.dims), tuple(self.rho2_0.dims)
@@ -124,15 +125,14 @@ def _block_seed(chi_proj: np.ndarray | None = None) -> np.ndarray:
     return seed
 
 
-def trace_norm_expansion_direction(
-    ch: PauliChannelMap, ancilla_dim: int = 2, max_iterations: int = 300
-) -> np.ndarray:
+def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) -> np.ndarray:
     """Traceless Hermitian direction of maximal trace-norm growth under I(x)V.
 
     Alternating ascent on ||(I(x)V)(D)||_1 over unit-trace-norm traceless
     Hermitian D: score the sign operator of the image, pull it back through
-    the (self-dual) map, and move to the best rank-two difference. The value
-    is monotone along the iteration, so the search never loses its seed.
+    the (self-dual) map, and move to the best rank-two difference, for at
+    most 300 steps per seed. The value is monotone along the iteration, so
+    the search never loses its seed.
     """
     if ancilla_dim not in _ANCILLA_DIMS:
         raise DimensionMismatchError("the ancilla A' has two or three levels")
@@ -172,7 +172,7 @@ def trace_norm_expansion_direction(
         if trace_norm(delta) == 0.0:
             continue
         value = trace_norm(ext.apply(delta))
-        for _ in range(max_iterations):
+        for _ in range(_ASCENT_STEPS):
             image = ext.apply(delta)
             w, u = np.linalg.eigh(image)
             sign_op = (u * np.sign(w)) @ u.conj().T
@@ -203,27 +203,27 @@ def _expansion_ratio(ch: PauliChannelMap, direction: np.ndarray) -> float:
     return float(trace_norm(ext.apply(direction)))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise EpsilonRangeError(f"epsilon must be in (0, 1], got {epsilon}")
+
+
 def pull_back_pair(
-    delta_tau: np.ndarray,
-    rates: RateProfile,
-    tau: float,
-    epsilon: float = 0.05,
-    sigma: DensityMatrix | None = None,
+    delta_tau: np.ndarray, rates: RateProfile, tau: float, epsilon: float = 0.05
 ) -> ProbePair:
-    """Initial pair straddling sigma whose difference evolves into delta_tau.
+    """Initial pair straddling 1/d whose difference evolves into delta_tau.
 
     The direction is pulled back through the inverse of the accumulated
-    dynamics, scaled to trace distance epsilon around sigma, and shrunk
-    geometrically (factor 1/2, at most 60 steps) until both ends are states.
+    dynamics, scaled to trace distance epsilon in (0, 1] around the maximally
+    mixed state 1/d, and shrunk geometrically (factor 1/2, at most 60 steps)
+    until both ends are states.
     """
+    _check_epsilon(epsilon)
     delta_tau = np.asarray(delta_tau, dtype=complex)
     if delta_tau.shape not in [(2 * a, 2 * a) for a in _ANCILLA_DIMS]:
         raise DimensionMismatchError("expansion direction must live on A'(x)S")
     dims = (delta_tau.shape[0] // 2, 2)
-    if sigma is None:
-        sigma = maximally_mixed(dims)
-    if tuple(sigma.dims) != dims:
-        raise DimensionMismatchError("base state sigma must live on A'(x)S")
+    sigma = maximally_mixed(dims)
 
     inv = invert_channel(decay_factors(rates, 0.0, tau))  # NonBijective if singular
     delta_0 = ExtendedChannel(inv, (dims[0],)).apply(delta_tau)
@@ -293,7 +293,9 @@ def detect_backflow(
     intermediate map, evaluates the two-output correlation at both ends with
     the closed form and the generic optimizer (cross-checked to 1e-6), and
     compares the verdict with the Choi spectrum of the intermediate map.
+    epsilon, the probe pair's trace distance, must lie in (0, 1].
     """
+    _check_epsilon(epsilon)
     if tau < 0.0 or delta_t <= 0.0:
         raise TimeOrderViolationError("need 0 <= tau < tau + delta_t")
     ch = intermediate_map(rates, tau, tau + delta_t)
@@ -342,19 +344,7 @@ def detect_backflow(
 
 
 def scan_backflow_grid(
-    rates: RateProfile,
-    taus: Sequence[float],
-    delta_ts: Sequence[float],
-    epsilon: float = 0.05,
-    budget: OptimizerBudget | None = None,
-    threads: int | None = None,
+    rates: RateProfile, taus: Sequence[float], delta_ts: Sequence[float]
 ) -> list[BackflowReport]:
-    """detect_backflow over the (tau, delta_t) product grid, row-major order.
-
-    threads is accepted and ignored; only the mutinfo sample batches use threads.
-    """
-    return [
-        detect_backflow(rates, float(tau), float(dt), epsilon=epsilon, budget=budget)
-        for tau in taus
-        for dt in delta_ts
-    ]
+    """detect_backflow over the (tau, delta_t) product grid, row-major order."""
+    return [detect_backflow(rates, float(tau), float(dt)) for tau in taus for dt in delta_ts]

@@ -189,7 +189,7 @@ def test_criterion_3_backflow_iff_noncp():
         outside = 0
         in_band = 0
         for name, rates in presets.items():
-            reports = scan_backflow_grid(rates, taus, dts, threads=4)
+            reports = scan_backflow_grid(rates, taus, dts)
             assert len(reports) == 100
             for r in reports:
                 if abs(r.choi_min_eig) < BAND:

@@ -45,6 +45,7 @@ from backflow.linalg import (
     max_entangled_state,
     random_density_matrix,
 )
+from backflow.probe import detect_backflow
 
 # Decay factors of the eternal profile accumulated over [0, 1].
 ETERNAL_D_XY = math.cosh(1.0) / math.e
@@ -381,6 +382,13 @@ class TestNonFiniteRejected:
             lambda: table_rates([0.0, 1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, math.nan]]),
             lambda: tune_rates_shrink_image(eternal_rates(), 0.1, t_activate=math.nan),
             lambda: tune_rates_shrink_image(eternal_rates(), 0.1, t_activate=math.inf),
+            lambda: decay_factors(eternal_rates(), 0.0, math.nan),
+            lambda: decay_factors(eternal_rates(), 0.0, math.inf),
+            lambda: intermediate_map(eternal_rates(), math.nan, 1.0),
+            lambda: detect_backflow(eternal_rates(), math.nan, 0.1),
+            lambda: detect_backflow(eternal_rates(), 0.5, math.inf),
+            lambda: PauliChannelMap(math.nan, 1.0, 1.0),
+            lambda: PauliChannelMap(1.0, 1.0, -math.inf),
         ],
         ids=[
             "constant-nan-rate",
@@ -391,6 +399,13 @@ class TestNonFiniteRejected:
             "table-nan-rate",
             "burst-nan-activate",
             "burst-inf-activate",
+            "decay-nan-end",
+            "decay-inf-end",
+            "intermediate-nan-start",
+            "backflow-nan-tau",
+            "backflow-inf-delta",
+            "map-nan-factor",
+            "map-inf-factor",
         ],
     )
     def test_raises(self, build):

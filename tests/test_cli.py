@@ -331,6 +331,13 @@ class TestExitCodes:
         cfg["grid"] = {"t_start": 15.0, "t_end": 16.0, "steps": 2}
         assert run_cli(tmp_path, cfg) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+        # exp(2000) overflows a float: a decay factor beyond range, not a traceback
+        for scenario in ("divisibility-scan", "backflow"):
+            cfg = base_config(scenario)
+            cfg["profile"] = {"preset": "constant", "rates": [-1000, -1000, -1000]}
+            cfg["grid"] = {"t_start": 0.0, "t_end": 2.0, "steps": 2}
+            assert run_cli(tmp_path, cfg) == EXIT_NUMERICAL
+            assert "numerical failure" in capsys.readouterr().err
 
     def test_consistency_violation_is_exit_three(self, tmp_path, capsys):
         cfg = base_config("me-povm-demo")
@@ -363,13 +370,13 @@ class TestDeterminism:
         assert one == two
 
     def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = base_config("backflow")
-        path = write_config(tmp_path, cfg)
-        assert main(["run", path, "--output", str(tmp_path / "seq")]) == EXIT_OK
-        assert main(["run", path, "--output", str(tmp_path / "par"), "--threads", "4"]) == EXIT_OK
-        assert (tmp_path / "seq" / "out.csv").read_bytes() == (
-            tmp_path / "par" / "out.csv"
-        ).read_bytes()
+        # mutinfo-map is the scenario that reads --threads; backflow ignores it
+        for scenario in ("backflow", "mutinfo-map"):
+            path = write_config(tmp_path, base_config(scenario))
+            seq, par = tmp_path / scenario / "seq", tmp_path / scenario / "par"
+            assert main(["run", path, "--output", str(seq)]) == EXIT_OK
+            assert main(["run", path, "--output", str(par), "--threads", "4"]) == EXIT_OK
+            assert (seq / "out.csv").read_bytes() == (par / "out.csv").read_bytes()
 
     def test_threads_zero_is_auto(self, tmp_path):
         cfg = base_config("me-povm-demo")

@@ -592,16 +592,11 @@ class TestCorrelationGeneral:
 
 
 class TestLocalChannels:
-    @pytest.mark.parametrize("dim,rank", [(2, None), (2, 2), (3, 4)])
-    def test_trace_preserving(self, dim, rank):
-        ch = random_local_cptp(dim, seed=3, kraus_rank=rank)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trace_preserving(self, dim):
+        ch = random_local_cptp(dim, seed=3)
         total = sum(k.conj().T @ k for k in ch.kraus)
         assert np.allclose(total, np.eye(dim), atol=1e-12)
-
-    def test_identity_mode(self):
-        ch = random_local_cptp(3, seed=0, kraus_rank=0)
-        assert len(ch.kraus) == 1
-        assert np.allclose(ch.kraus[0], np.eye(3))
 
     def test_deterministic_in_seed(self):
         a = random_local_cptp(2, seed=7)

@@ -202,18 +202,6 @@ class TestScenario:
         assert len(calls) == 1
         assert rep == canonical_report
 
-    def test_threaded_run_identical(self, canonical_report):
-        rep = scenario_entanglement_blind(
-            constant_rates(2.0, 2.0, 2.0),
-            eternal_rates(),
-            1.0,
-            CANON_GRID,
-            threads=4,
-        )
-        assert rep.negativities == canonical_report.negativities
-        assert rep.choi_min_intermediate == canonical_report.choi_min_intermediate
-        assert rep.c2_values == canonical_report.c2_values
-
     @pytest.mark.parametrize(
         "prelude, continuation, switch, grid, match",
         [

@@ -1,4 +1,4 @@
-"""Import hygiene: modules share only public names, and leave no dead imports, helpers or knobs."""
+"""Code hygiene: no private cross-module imports, dead imports, helpers, knobs or parameters."""
 
 from __future__ import annotations
 
@@ -133,3 +133,55 @@ def test_guard_sees_unread_tolerance():
 def test_every_tolerance_is_read():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert unread_tolerances(source, cli._DEFAULT_TOLERANCES) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`func:param` for each parameter of a public function or method never read in its body.
+
+    `self` and `cls` are skipped. Underscore-named functions are exempt: the
+    CLI's `_RUNNERS` table calls every scenario runner with the same
+    `(config, threads)` signature, though only `mutinfo-map` reads `threads`.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name[0] == "_":
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            f"{node.name}:{p.arg}"
+            for p in params
+            if p is not None and p.arg not in {"self", "cls"} and p.arg not in read
+        ]
+    return sorted(found)
+
+
+def test_guard_sees_unread_parameter():
+    source = (SRC / "probe.py").read_text(encoding="utf-8")
+    signature = "delta_ts: Sequence[float]\n) -> list[BackflowReport]:"
+    assert source.count(signature) == 1
+    put_back = source.replace(
+        signature,
+        "delta_ts: Sequence[float], threads: int | None = None\n) -> list[BackflowReport]:",
+    )
+    assert unread_parameters(put_back) == ["scan_backflow_grid:threads"]
+    assert unread_parameters(
+        "class A:\n    def f(self, x):\n        return 1\n"
+        "def _runner(config, threads):\n    return config\n"
+        "def g(a, *rest, b=0):\n    return [a for _ in rest]\n"
+    ) == ["f:x", "g:b"]
+
+
+def test_every_parameter_is_read():
+    offenders = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unread_parameters(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}

@@ -18,7 +18,6 @@ from backflow.linalg import (
     DensityMatrix,
     as_matrix,
     hermitian_eig,
-    is_positive_semidefinite,
     max_entangled_state,
     maximally_mixed,
     partial_trace,
@@ -140,15 +139,13 @@ class TestConstructors:
         assert np.allclose(mat, np.outer(vec, vec))
         assert state.dims == (2, 2)
 
-    @pytest.mark.parametrize("dim,rank", [(2, None), (3, 1), (4, 2), (6, 6)])
-    def test_random_density_matrix_valid(self, dim, rank):
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_random_density_matrix_valid(self, dim):
         rng = np.random.default_rng(42)
-        state = random_density_matrix(rng, dim, rank=rank)
+        state = random_density_matrix(rng, dim)
         mat = as_matrix(state)
         assert np.isclose(np.trace(mat).real, 1.0)
-        assert is_positive_semidefinite(mat)
-        if rank is not None:
-            assert np.linalg.matrix_rank(mat, tol=1e-10) <= rank
+        assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
     def test_random_density_matrix_deterministic(self):
         a = as_matrix(random_density_matrix(np.random.default_rng(5), 3))
@@ -194,11 +191,6 @@ class TestPartialTrace:
         bell = max_entangled_state(2)
         with pytest.raises(SubsystemIndexError):
             partial_trace(bell, keep=(2,))
-
-    def test_plain_array_with_dims(self):
-        mat = np.eye(4, dtype=complex) / 4
-        out = partial_trace(mat, keep=(0,), dims=(2, 2))
-        assert np.allclose(as_matrix(out), np.eye(2) / 2)
 
 
 class TestPartialTranspose:
@@ -273,10 +265,6 @@ class TestEntropy:
         state = maximally_mixed((3,))
         assert von_neumann_entropy(state) == pytest.approx(np.log(3.0))
 
-    def test_base_two(self):
-        state = maximally_mixed((2, 2))
-        assert von_neumann_entropy(state, base=2.0) == pytest.approx(2.0)
-
     def test_near_boundary_clamped(self):
         # Eigenvalues below the clamp must not produce NaN from log(0).
         mat = np.diag([1.0 - 1e-16, 1e-16]).astype(complex)
@@ -284,14 +272,3 @@ class TestEntropy:
         val = von_neumann_entropy(state)
         assert np.isfinite(val)
         assert val >= 0.0
-
-
-class TestPsdPredicate:
-    def test_accepts_psd(self):
-        assert is_positive_semidefinite(np.diag([0.0, 1.0]).astype(complex))
-
-    def test_rejects_indefinite(self):
-        assert not is_positive_semidefinite(np.diag([1.0, -1e-6]).astype(complex))
-
-    def test_tolerance_window(self):
-        assert is_positive_semidefinite(np.diag([1.0, -1e-12]).astype(complex), tol=1e-10)

@@ -20,6 +20,7 @@ from backflow.channels import (
 from backflow.ensembles import correlation_C_general, correlation_CA2, correlation_CB2
 from backflow.errors import (
     DimensionMismatchError,
+    EpsilonRangeError,
     ExpansionNotFoundError,
     InvalidStateError,
     NonBijectiveError,
@@ -180,8 +181,15 @@ class TestPullBackPair:
     def test_wrong_shapes_rejected(self):
         with pytest.raises(DimensionMismatchError):
             pull_back_pair(np.zeros((3, 3)), ETERNAL, 0.5)
-        with pytest.raises(DimensionMismatchError):
-            pull_back_pair(np.zeros((6, 6)), ETERNAL, 0.5, sigma=maximally_mixed((2, 2)))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05, float("nan"), 1.5])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        unit = 0.25 * np.kron(SIGMA_Z, SIGMA_X)
+        with pytest.raises(EpsilonRangeError):
+            pull_back_pair(unit, ETERNAL, 0.5, epsilon=epsilon)
+        # (0.5, 0.3) is a non-CP eternal point: epsilon = 0 must not pass as "no backflow" there
+        with pytest.raises(EpsilonRangeError):
+            detect_backflow(ETERNAL, 0.5, 0.3, epsilon=epsilon)
 
     def test_pair_separation_invariant_enforced(self):
         rho1 = pure_state(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
@@ -319,15 +327,6 @@ class TestScanGrid:
             assert report.c2_before == single.c2_before
             assert report.c2_after == single.c2_after
             assert report.consistent == single.consistent
-
-    def test_threaded_scan_matches_sequential(self):
-        taus = [GAP_TAU, 0.8]
-        dts = [0.2, 0.9]
-        seq = scan_backflow_grid(ETERNAL, taus, dts)
-        par = scan_backflow_grid(ETERNAL, taus, dts, threads=4)
-        assert [(r.c2_before, r.c2_after, r.consistent, r.inconclusive) for r in seq] == [
-            (r.c2_before, r.c2_after, r.consistent, r.inconclusive) for r in par
-        ]
 
 
 @pytest.fixture(scope="module")
