@@ -280,6 +280,9 @@ class ExtendedChannel:
     qubit axes and B.S = sigma_z B sigma_z negates the off-diagonal entries.
     Summed in this order it rounds exactly like the Kronecker-lifted
     sum_mu q_mu (1 (x) sigma_mu) M (1 (x) sigma_mu)^dagger.
+
+    apply also takes a stack (..., dim, dim) and maps each matrix; the kernel
+    is elementwise, so apply(stack)[i] equals apply(stack[i]) bit for bit.
     """
 
     def __init__(self, ch: PauliChannelMap, ancilla_dims: Sequence[int]):
@@ -292,13 +295,13 @@ class ExtendedChannel:
 
     def apply(self, operator) -> np.ndarray:
         mat = as_matrix(operator)
-        if mat.shape != (self.dim, self.dim):
+        if mat.ndim < 2 or mat.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"expected shape {(self.dim, self.dim)}, got {mat.shape}"
+                f"expected shape (..., {self.dim}, {self.dim}), got {mat.shape}"
             )
         q0, qx, qy, qz = self._weights
-        blocks = mat.reshape(self._block_shape)
-        flip = blocks[:, ::-1, :, ::-1]
+        blocks = mat.reshape(mat.shape[:-2] + self._block_shape)
+        flip = blocks[..., ::-1, :, ::-1]
         out = q0 * blocks + qx * flip + qy * (flip * _SIGN_Z) + qz * (blocks * _SIGN_Z)
         return out.reshape(mat.shape)
 

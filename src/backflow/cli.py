@@ -401,6 +401,7 @@ def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
         config.switch_time,
         grid,
         epsilon=config.epsilon,
+        budget=config.budget,
     )
     rows = list(
         zip(report.times, report.negativities, report.choi_min_intermediate, report.c2_values)

@@ -28,6 +28,7 @@ from .channels import (
     is_p_divisible_at,
     splice_rates,
 )
+from .ensembles import OptimizerBudget
 from .errors import DimensionMismatchError, PreconditionError
 from .linalg import DensityMatrix, partial_transpose, trace_norm
 from .probe import BackflowReport, detect_backflow
@@ -124,6 +125,7 @@ def scenario_entanglement_blind(
     switch_time: float,
     grid: Sequence[float],
     epsilon: float = 0.05,
+    budget: OptimizerBudget | None = None,
 ) -> EntanglementBlindReport:
     """Certify correlation backflow on dynamics that keep every state PPT.
 
@@ -133,7 +135,8 @@ def scenario_entanglement_blind(
     naming the failing clause.  The report carries, per grid time, the
     negativity of the evolved maximally entangled probe, the minimal
     Choi eigenvalue of the intermediate map over the following grid
-    step, and the pair distance of the backflow probe pair.
+    step, and the pair distance of the backflow probe pair. epsilon and
+    budget go to detect_backflow on the first non-CP grid step.
     """
     if not 0.0 < switch_time < math.inf:
         raise PreconditionError("switch time must be positive and finite")
@@ -205,7 +208,7 @@ def scenario_entanglement_blind(
     if noncp:
         ti = float(times[tau_star])
         dt = float(times[tau_star + 1]) - ti
-        backflow = detect_backflow(composite, ti, dt, epsilon=epsilon)
+        backflow = detect_backflow(composite, ti, dt, epsilon=epsilon, budget=budget)
         if backflow.pair is not None:
             c2_values = tuple(backflow.pair.distance_at(composite, float(t)) for t in times)
 

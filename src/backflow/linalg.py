@@ -1,8 +1,8 @@
 """Dense linear algebra for small multi-qubit systems.
 
 Everything here works on explicit numpy arrays; matrices are tiny (dimension
-at most ~16), so no attempt is made at sparsity or batching tricks beyond what
-numpy already provides.
+at most ~16), so no attempt is made at sparsity. trace_norm also takes a
+stack of matrices, which numpy's eigensolvers handle in one call.
 """
 
 from __future__ import annotations
@@ -175,12 +175,18 @@ def partial_transpose(matrix: np.ndarray, dims, subsystem: int) -> np.ndarray:
     return tensor.reshape(mat.shape)
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of absolute eigenvalues; Hermitian input only."""
+def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute eigenvalues; Hermitian input only.
+
+    A (d, d) matrix gives a float. A (k, d, d) stack gives one value per
+    matrix from one stacked eigvalsh, each equal bit for bit to the float of
+    that matrix alone; one non-Hermitian member rejects the whole stack.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())) > HERMITICITY_TOL:
         raise NotHermitianError("trace_norm is implemented for Hermitian matrices only")
-    return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
+    norms = np.abs(np.linalg.eigvalsh(matrix)).sum(axis=-1)
+    return float(norms) if matrix.ndim == 2 else norms
 
 
 def trace_distance(state_a, state_b) -> float:

@@ -52,6 +52,11 @@ ETERNAL_D_XY = math.cosh(1.0) / math.e
 ETERNAL_D_Z = math.exp(-2.0)
 
 rate_values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+rate_profiles = st.one_of(
+    st.just(eternal_rates()), st.builds(constant_rates, rate_values, rate_values, rate_values)
+)
+interval_times = st.floats(min_value=0.0, max_value=3.0)
+non_finite_times = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestDecayFactors:
@@ -215,6 +220,19 @@ class TestChannelAction:
                 lift = np.kron(np.eye(anc), sigma)
                 want += q * lift @ m @ lift.conj().T
             assert np.array_equal(ExtendedChannel(ch, ancilla_dims).apply(m), want)
+
+    @pytest.mark.parametrize("ancilla_dims", [(), (2,), (3,)])
+    def test_stack_maps_each_matrix_exactly(self, ancilla_dims):
+        rng = np.random.default_rng(23)
+        dim = 2 * math.prod(ancilla_dims)
+        ext = ExtendedChannel(PauliChannelMap(*rng.uniform(-1.5, 1.5, size=3)), ancilla_dims)
+        stack = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        got = ext.apply(stack)
+        assert got.shape == stack.shape
+        for i in range(5):
+            assert np.array_equal(got[i], ext.apply(stack[i]))
+        with pytest.raises(DimensionMismatchError):
+            ext.apply(np.zeros((5, dim + 2, dim + 2), dtype=complex))
 
 
 class TestChoi:
@@ -415,3 +433,28 @@ class TestNonFiniteRejected:
     def test_infinite_domain_end_allowed(self):
         assert constant_rates(1.0, 1.0, 1.0).domain_end == math.inf
         assert eternal_rates().domain_end == math.inf
+
+
+class TestIntervalProperties:
+    @given(rate_profiles, non_finite_times, interval_times, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_end_rejected(self, rates, bad, good, bad_is_start):
+        ends = (bad, good) if bad_is_start else (good, bad)
+        with pytest.raises(NonFiniteError):
+            decay_factors(rates, *ends)
+        with pytest.raises(NonFiniteError):
+            intermediate_map(rates, *ends)
+
+    @given(rate_profiles, interval_times, interval_times)
+    @settings(max_examples=60, deadline=None)
+    def test_finite_ends_give_finite_factors(self, rates, t0, dt):
+        for build in (decay_factors, intermediate_map):
+            assert np.all(np.isfinite(build(rates, t0, t0 + dt).factors))
+
+    @given(rate_profiles, interval_times, interval_times)
+    @settings(max_examples=60, deadline=None)
+    def test_decay_factors_compose(self, rates, t1, dt):
+        t2 = t1 + dt
+        got = decay_factors(rates, 0.0, t1).factors * decay_factors(rates, t1, t2).factors
+        want = decay_factors(rates, 0.0, t2).factors
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

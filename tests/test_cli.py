@@ -312,6 +312,23 @@ class TestScenarioRuns:
         for r in rows[2:]:
             assert float(r.split(",")[1]) <= 1e-10
 
+    def test_entanglement_blind_crosscheck_reads_budget(self, tmp_path, monkeypatch):
+        import backflow.probe as probe
+
+        budgets = []
+        crosscheck = probe.correlation_CA2
+
+        def recording(state, a_factors, budget=None):
+            budgets.append(budget)
+            return crosscheck(state, a_factors=a_factors, budget=budget)
+
+        monkeypatch.setattr(probe, "correlation_CA2", recording)
+        cfg = base_config("entanglement-blind")
+        cfg["budget"] = {"polish_maxfev": 1, "seeds": 1}
+        run_cli(tmp_path, cfg)
+        assert len(budgets) == 2
+        assert all(b is not None and (b.polish_maxfev, b.seeds) == (1, 1) for b in budgets)
+
     def test_seventeen_digit_floats(self, tmp_path):
         cfg = base_config("backflow")
         assert run_cli(tmp_path, cfg) == EXIT_OK

@@ -245,6 +245,22 @@ class TestTraceNormAndDistance:
         rhs = trace_distance(a, b) + trace_distance(b, c)
         assert lhs <= rhs + 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_stack_matches_per_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(9)])
+        got = trace_norm(stack)
+        assert got.shape == (9,)
+        assert all(got[i] == trace_norm(stack[i]) for i in range(9))
+        assert isinstance(trace_norm(stack[0]), float)
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(NotHermitianError):
+            trace_norm(stack)
+
     def test_qubit_bloch_formula(self):
         # For qubits 2 T(rho, sigma) equals the Bloch-vector distance.
         r = np.array([0.3, -0.2, 0.5])

@@ -30,6 +30,7 @@ from backflow.linalg import (
     DensityMatrix,
     SIGMA_X,
     SIGMA_Z,
+    max_entangled_state,
     maximally_mixed,
     partial_trace,
     partial_transpose,
@@ -56,6 +57,70 @@ GAP_DT = 0.2
 def expansion_ratio(ch: PauliChannelMap, direction: np.ndarray) -> float:
     ext = ExtendedChannel(ch, (direction.shape[0] // 2,))
     return trace_norm(ext.apply(direction))
+
+
+def serial_expansion_search(ch: PauliChannelMap, ancilla_dim: int):
+    """Oracle: the expansion ascent run one seed after another.
+
+    Returns (best value, best direction). The stacked search in
+    trace_norm_expansion_direction must reproduce both bit for bit: the same
+    seven seeds in the same order, the same 1e-14 stop and 300-step cap per
+    seed, and the first seed wins a tie.
+    """
+    ext = ExtendedChannel(ch, (ancilla_dim,))
+    dim = 2 * ancilla_dim
+    eye = np.eye(dim, dtype=complex)
+
+    def traceless(mat):
+        return mat - (np.trace(mat) / dim) * eye
+
+    phi = max_entangled_state(2).matrix
+    chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
+    chi_proj = np.outer(chi, chi.conj())
+    tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+    if ancilla_dim == 2:
+        seeds = [
+            phi - eye / 4.0,
+            phi - 0.5 * np.kron(np.eye(2, dtype=complex), tau_local),
+            chi_proj - eye / 4.0,
+        ]
+    else:
+        seeds = []
+        for top in (phi, chi_proj):
+            block = np.zeros((6, 6), dtype=complex)
+            block[:4, :4] = 0.5 * top
+            block[4:, 4:] = -0.25 * np.eye(2, dtype=complex)
+            seeds.append(block)
+        embed = np.zeros((6, 6), dtype=complex)
+        embed[:4, :4] = phi
+        seeds.append(embed - eye / 6.0)
+    rng = np.random.default_rng(20240917)
+    for _ in range(4):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        seeds.append(traceless(0.5 * (g + g.conj().T)))
+
+    best_value, best_direction = -np.inf, None
+    for seed in seeds:
+        delta = traceless(seed)
+        nrm = trace_norm(delta)
+        if nrm == 0.0:
+            continue
+        delta = delta / nrm
+        value = trace_norm(ext.apply(delta))
+        for _ in range(300):
+            w, u = np.linalg.eigh(ext.apply(delta))
+            witness = traceless(ext.apply((u * np.sign(w)) @ u.conj().T))
+            wu = np.linalg.eigh(witness)[1]
+            delta_next = 0.5 * (
+                np.outer(wu[:, -1], wu[:, -1].conj()) - np.outer(wu[:, 0], wu[:, 0].conj())
+            )
+            next_value = trace_norm(ext.apply(delta_next))
+            if next_value <= value + 1e-14:
+                break
+            delta, value = delta_next, next_value
+        if value > best_value:
+            best_value, best_direction = value, delta
+    return best_value, best_direction
 
 
 def choi_negative_mass(ch: PauliChannelMap) -> float:
@@ -135,6 +200,36 @@ class TestExpansionDirection:
         ch = intermediate_map(ETERNAL, 0.5, 1.0)
         with pytest.raises(DimensionMismatchError):
             trace_norm_expansion_direction(ch, ancilla_dim=4)
+
+    @pytest.mark.parametrize("ancilla_dim", [2, 3])
+    @pytest.mark.parametrize("maps", ["eternal", "constant(1,1,-3)", "cp"])
+    def test_stacked_search_matches_serial_bit_for_bit(self, maps, ancilla_dim):
+        if maps == "eternal":
+            channels = [
+                intermediate_map(ETERNAL, tau, tau + dt)
+                for tau in (GAP_TAU, 0.35, 0.7, 1.3)
+                for dt in (GAP_DT, 0.6)
+            ]
+        elif maps == "constant(1,1,-3)":
+            # time-homogeneous rates: the map depends on dt alone
+            rates = constant_rates(1.0, 1.0, -3.0)
+            channels = [intermediate_map(rates, 0.5, 0.5 + dt) for dt in (0.05, 0.25, 0.6, 1.5)]
+        else:
+            channels = [
+                intermediate_map(constant_rates(1.0, 1.0, 1.0), 0.3, 0.8),
+                PauliChannelMap(d_x=0.5, d_y=0.5, d_z=0.5),
+                PauliChannelMap(d_x=1.0, d_y=1.0, d_z=1.0),
+            ]
+        for ch in channels:
+            want_value, want_direction = serial_expansion_search(ch, ancilla_dim)
+            if want_value > 1.0 + 1e-10:
+                got = trace_norm_expansion_direction(ch, ancilla_dim=ancilla_dim)
+                assert np.array_equal(got, want_direction)
+            else:
+                with pytest.raises(ExpansionNotFoundError) as exc_info:
+                    trace_norm_expansion_direction(ch, ancilla_dim=ancilla_dim)
+                assert exc_info.value.best_ratio == want_value
+                assert np.array_equal(exc_info.value.best_direction, want_direction)
 
 
 class TestPullBackPair:
