@@ -66,6 +66,8 @@ class RateProfile:
         return np.asarray(self.evaluate(t), dtype=float)
 
     def pair_sums(self, t: float) -> np.ndarray:
+        if not math.isfinite(t):
+            raise NonFiniteError(f"time must be finite, got {t}")
         gx, gy, gz = self.evaluate(t)
         return np.array([gy + gz, gx + gz, gx + gy])
 

@@ -36,6 +36,8 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidStateError,
+    NonFiniteError,
+    PreconditionError,
 )
 from .linalg import (
     PAULIS,
@@ -57,6 +59,25 @@ PAULI_PRODUCT_BASIS: tuple[np.ndarray, ...] = tuple(
 _SYSTEM_INDEX = np.array([i % 4 for i in range(16)])
 _MOVING = np.array([i for i in range(16) if i % 4 != 0])
 _BASIS_STACK = np.stack(PAULI_PRODUCT_BASIS)
+
+
+def _nonzero_entries(ops: np.ndarray) -> tuple:
+    """Per operator: (rows, cols, scales, imag) of its non-zero entries in
+    row-major order; each entry is scale, or scale times i when imag."""
+    table = []
+    for op in ops:
+        rows, cols = np.nonzero(op)
+        vals = op[rows, cols]
+        imag = bool(np.any(vals.imag))
+        table.append((rows, cols, vals.imag if imag else vals.real, imag))
+    return tuple(table)
+
+
+# each Pauli product has four non-zero entries of 16, all in {+-1} or all in {+-i}
+_BASIS_ENTRIES = _nonzero_entries(_BASIS_STACK)
+_MOVING_ENTRIES = tuple(_BASIS_ENTRIES[i] for i in _MOVING)
+# the system-marginal directions 2 sigma_1..3
+_MARGINAL_ENTRIES = _nonzero_entries(np.stack([2.0 * p for p in PAULIS[1:]]))
 
 
 @dataclass(frozen=True)
@@ -266,17 +287,69 @@ def _damping_per_coordinate(rates: RateProfile, t: float) -> np.ndarray:
     return out
 
 
+def _eigvec_diagonals(u: np.ndarray, entries) -> np.ndarray:
+    """Re diag(u^dag e u) for each operator e of an entry table: (n, ops, k).
+
+    Sums only the non-zero entries (a, b) of e, left to right in row-major
+    order; each term is Re(conj(u_ak) e_ab u_bk), i.e. the scale times
+    ur_a ur_b + ui_a ui_b for a real entry or ui_a ur_b - ur_a ui_b for an
+    imaginary one. Temporaries stay at (n, k).
+    """
+    # (d, n, k): component a of every eigenvector is one contiguous block
+    ur = np.ascontiguousarray(u.real.transpose(1, 0, 2))
+    ui = np.ascontiguousarray(u.imag.transpose(1, 0, 2))
+    out = np.empty((u.shape[0], len(entries), u.shape[-1]))
+    for j, (rows, cols, scales, imag) in enumerate(entries):
+        acc = None
+        for a, b, scale in zip(rows, cols, scales):
+            term = ui[a] * ur[b] - ur[a] * ui[b] if imag else ur[a] * ur[b] + ui[a] * ui[b]
+            term *= scale
+            acc = term if acc is None else acc + term
+        out[:, j] = acc
+    return out
+
+
+def _eigen_weighted(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k h[n, i, k] w[n, k], added left to right over k: (n, i)."""
+    acc = h[:, :, 0] * w[:, None, 0]
+    for k in range(1, h.shape[-1]):
+        acc = acc + h[:, :, k] * w[:, None, k]
+    return acc
+
+
+def _states_from_points(pts: np.ndarray) -> np.ndarray:
+    """(1/4) 1 + sum_i pts[:, i - 1] e_i over i = 1..15: (n, 4, 4) matrices.
+
+    Each matrix entry adds its non-zero contributions in increasing i.
+    """
+    n = pts.shape[0]
+    re, im = np.zeros((2, 16, n))      # flat entry 4a + b first, sample last
+    for p, (rows, cols, scales, imag) in zip(np.ascontiguousarray(pts.T), _BASIS_ENTRIES[1:]):
+        (im if imag else re)[4 * rows + cols] += scales[:, None] * p
+    total = np.empty((n, 4, 4), dtype=complex)
+    total.real = re.T.reshape(n, 4, 4)
+    total.imag = im.T.reshape(n, 4, 4)
+    return 0.25 * np.eye(4, dtype=complex)[None] + total
+
+
 def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray:
     """Chain-rule d/dt of the mutual information for a stack of (4, 4) states.
 
     Entries whose state has an eigenvalue at or below INTERIOR_TOL come back
     as NaN; the derivative is not defined there.
+
+    Rounding is fixed per row: the eigenvector diagonals add only the
+    non-zero Pauli entries, left to right in row-major order, and the
+    gradients add over eigenvalues left to right. A row's value therefore
+    does not depend on the batch it sits in or on how a batch is split
+    across threads, which keeps threaded CSV output byte-identical.
     """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim == 2:
         mats = mats[None]
     if mats.shape[-2:] != (4, 4):
         raise DimensionMismatchError("didt_batch expects (n, 4, 4) matrices")
+    damp = _damping_per_coordinate(rates, t)[_MOVING]
     n_states = mats.shape[0]
     coords = 0.25 * np.einsum("nab,iba->ni", mats, _BASIS_STACK).real
 
@@ -284,9 +357,7 @@ def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray
     bad = lam[:, 0] <= INTERIOR_TOL
     lam_safe = np.where(lam > 0, lam, 1.0)
     fp = -(1.0 + np.log(lam_safe))                                  # (n, 4)
-    e_mov = _BASIS_STACK[_MOVING]                                   # (12, 4, 4)
-    h_joint = np.einsum("nak,iab,nbk->nik", u.conj(), e_mov, u).real
-    grad_joint = np.einsum("nik,nk->ni", h_joint, fp)               # (n, 12)
+    grad_joint = _eigen_weighted(_eigvec_diagonals(u, _MOVING_ENTRIES), fp)  # (n, 12)
 
     # system marginal: only the s-side coordinates i in {1, 2, 3} move it
     tens = mats.reshape(n_states, 2, 2, 2, 2)
@@ -294,13 +365,10 @@ def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray
     lam_s, u_s = np.linalg.eigh(rho_s)
     lam_s_safe = np.where(lam_s > 0, lam_s, 1.0)
     fp_s = -(1.0 + np.log(lam_s_safe))
-    dirs_s = np.stack([2.0 * p for p in PAULIS[1:]])                # (3, 2, 2)
-    h_s = np.einsum("nak,iab,nbk->nik", u_s.conj(), dirs_s, u_s).real
-    grad_s = np.einsum("nik,nk->ni", h_s, fp_s)                     # (n, 3)
+    grad_s = _eigen_weighted(_eigvec_diagonals(u_s, _MARGINAL_ENTRIES), fp_s)  # (n, 3)
 
     grad_i = -grad_joint
     grad_i[:, 0:3] += grad_s                                        # moving 1, 2, 3 lead
-    damp = _damping_per_coordinate(rates, t)[_MOVING]
     values = -np.einsum("ni,i,ni->n", coords[:, _MOVING], damp, grad_i)
     values = np.where(bad, np.nan, values)
     return values
@@ -355,6 +423,14 @@ def _atanh_ratio(a_12: float) -> float:
     return math.atanh(4.0 * a_12) / a_12
 
 
+def _check_a12(a_12: float) -> None:
+    # written so that a NaN a_12 fails too
+    if not abs(a_12) < 0.25 - BOUNDARY_MARGIN:
+        raise BoundaryParameterError(
+            f"a_12 must sit strictly inside (-1/4, 1/4) by {BOUNDARY_MARGIN}, got {a_12}"
+        )
+
+
 def closed_form_hessian_eigenvalues(
     rates: RateProfile, t: float, a_12: float
 ) -> np.ndarray:
@@ -364,6 +440,7 @@ def closed_form_hessian_eigenvalues(
     sum; the other six carry -8 atanh(4a)/a, two per pairwise rate sum. All
     nine are non-positive exactly when the pairwise sums are non-negative.
     """
+    _check_a12(a_12)
     c = rates.pair_sums(t)
     ratio = (16.0 * a_12 * a_12 + 1.0) / (16.0 * a_12 * a_12 - 1.0)
     tanh_part = _atanh_ratio(a_12)
@@ -404,8 +481,7 @@ def hessian_at_stationary(rates: RateProfile, t: float, a_12: float) -> HessianR
     H_pq = -(c_p + c_q) (d^2 I / da_p da_q), a Hadamard weighting of the
     entropy Hessian.
     """
-    if abs(a_12) >= 0.25 - BOUNDARY_MARGIN:
-        raise BoundaryParameterError("a_12 must sit strictly inside (-1/4, 1/4)")
+    _check_a12(a_12)
     hess_i = _mutual_information_hessian(a_12)
     damp = _damping_per_coordinate(rates, t)[1:]
     weight = damp[:, None] + damp[None, :]
@@ -553,16 +629,20 @@ def neighborhood_didt(
     stationary state; entries whose state leaves the interior of the state
     set are NaN. With threads > 1 the samples are split into
     min(threads, cores) batches evaluated in parallel; the values do not
-    depend on it.
+    depend on it. A non-finite t or radius raises NonFiniteError, a negative
+    radius or fewer than one sample PreconditionError.
     """
-    if abs(a_12) >= 0.25 - BOUNDARY_MARGIN:
-        raise BoundaryParameterError("a_12 must sit strictly inside (-1/4, 1/4)")
+    _check_a12(a_12)
+    if not math.isfinite(radius):
+        raise NonFiniteError(f"radius must be finite, got {radius}")
+    if radius < 0.0 or samples < 1:
+        raise PreconditionError(
+            f"need radius >= 0 and samples >= 1, got radius={radius}, samples={samples}"
+        )
     center = np.zeros(15)
     center[11] = a_12  # coordinate a_12 of the 15 free entries a_1..a_15
     pts = _ball_points(center, radius, samples, seed)
-    mats = 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
-        "ni,iab->nab", pts, _BASIS_STACK[1:]
-    )
+    mats = _states_from_points(pts)
     batches = min(threads or 1, os.cpu_count() or 1)
     if batches > 1:
         chunks = np.array_split(mats, batches)
@@ -583,8 +663,11 @@ def neighborhood_scan(
     """Fraction of sampled neighbourhood states with didt above tolerance.
 
     Summarizes neighborhood_didt: points that leave the state set are
-    dropped from the denominator.
+    dropped from the denominator. A NaN or infinite tolerance raises
+    NonFiniteError.
     """
+    if not math.isfinite(tolerance):
+        raise NonFiniteError(f"tolerance must be finite, got {tolerance}")
     values = neighborhood_didt(rates, t, a_12, radius, samples, seed=seed)
     valid = ~np.isnan(values)
     n_valid = int(valid.sum())

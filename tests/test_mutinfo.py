@@ -27,8 +27,11 @@ from backflow.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidStateError,
+    NonFiniteError,
+    PreconditionError,
 )
 from backflow.linalg import (
+    PAULIS,
     DensityMatrix,
     max_entangled_state,
     maximally_mixed,
@@ -494,6 +497,161 @@ class TestNeighborhoodScan:
     def test_boundary_center_rejected(self):
         with pytest.raises(BoundaryParameterError):
             mi.neighborhood_scan(eternal_rates(), 1.0, 0.25, radius=1e-2, samples=64)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(NonFiniteError):
+            mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, radius=radius, samples=16)
+        with pytest.raises(NonFiniteError):
+            mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=radius, samples=16)
+
+    @pytest.mark.parametrize(
+        "radius,samples",
+        [(-0.01, 16), (0.01, 0), (0.01, -3)],
+        ids=["negative-radius", "no-samples", "negative-samples"],
+    )
+    def test_out_of_domain_arguments_rejected(self, radius, samples):
+        with pytest.raises(PreconditionError):
+            mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, radius=radius, samples=samples)
+        with pytest.raises(PreconditionError):
+            mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=radius, samples=samples)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(NonFiniteError):
+            mi.neighborhood_scan(
+                eternal_rates(), 1.0, 0.0, radius=0.01, samples=16, tolerance=tolerance
+            )
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_pair_sums_reject_non_finite_time(self, t):
+        with pytest.raises(NonFiniteError):
+            eternal_rates().pair_sums(t)
+        with pytest.raises(NonFiniteError):
+            is_p_divisible_at(eternal_rates(), t)
+
+    def test_mutinfo_api_rejects_nan_time(self):
+        with pytest.raises(NonFiniteError):
+            mi.didt(interior_state(0), eternal_rates(), math.nan)
+        with pytest.raises(NonFiniteError):
+            mi.radius_shrink_rate((0.1, 0.0, 0.0), eternal_rates(), math.nan)
+        with pytest.raises(NonFiniteError):
+            mi.hessian_at_stationary(eternal_rates(), math.nan, 0.0)
+        with pytest.raises(NonFiniteError):
+            mi.neighborhood_scan(eternal_rates(), math.nan, 0.0, radius=0.01, samples=50)
+
+    @pytest.mark.parametrize("a12", [math.nan, 0.25, -0.25, math.inf])
+    def test_bad_a12_rejected_everywhere(self, a12):
+        with pytest.raises(BoundaryParameterError):
+            mi.hessian_at_stationary(eternal_rates(), 1.0, a12)
+        with pytest.raises(BoundaryParameterError):
+            mi.closed_form_hessian_eigenvalues(eternal_rates(), 1.0, a12)
+        with pytest.raises(BoundaryParameterError):
+            mi.neighborhood_didt(eternal_rates(), 1.0, a12, radius=0.01, samples=16)
+        with pytest.raises(BoundaryParameterError):
+            mi.neighborhood_scan(eternal_rates(), 1.0, a12, radius=0.01, samples=16)
+
+
+# The einsum forms of the scan path, kept here as oracles: the kernel in
+# mutinfo must reproduce their bits exactly, NaN rows included.
+
+
+def einsum_didt_batch(matrices, rates, t):
+    mats = np.asarray(matrices, dtype=complex)
+    if mats.ndim == 2:
+        mats = mats[None]
+    basis = mi._BASIS_STACK
+    coords = 0.25 * np.einsum("nab,iba->ni", mats, basis).real
+    lam, u = np.linalg.eigh(mats)
+    bad = lam[:, 0] <= mi.INTERIOR_TOL
+    fp = -(1.0 + np.log(np.where(lam > 0, lam, 1.0)))
+    h_joint = np.einsum("nak,iab,nbk->nik", u.conj(), basis[mi._MOVING], u).real
+    grad_joint = np.einsum("nik,nk->ni", h_joint, fp)
+    rho_s = np.einsum("nasat->nst", mats.reshape(mats.shape[0], 2, 2, 2, 2))
+    lam_s, u_s = np.linalg.eigh(rho_s)
+    fp_s = -(1.0 + np.log(np.where(lam_s > 0, lam_s, 1.0)))
+    dirs_s = np.stack([2.0 * p for p in PAULIS[1:]])
+    h_s = np.einsum("nak,iab,nbk->nik", u_s.conj(), dirs_s, u_s).real
+    grad_s = np.einsum("nik,nk->ni", h_s, fp_s)
+    grad_i = -grad_joint
+    grad_i[:, 0:3] += grad_s
+    damp = mi._damping_per_coordinate(rates, t)[mi._MOVING]
+    values = -np.einsum("ni,i,ni->n", coords[:, mi._MOVING], damp, grad_i)
+    return np.where(bad, np.nan, values)
+
+
+def einsum_states(pts):
+    return 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
+        "ni,iab->nab", pts, mi._BASIS_STACK[1:]
+    )
+
+
+def assert_same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SHRINK_BURST = tune_rates_shrink_image(eternal_rates(), math.exp(-4.0), 0.5)
+KERNEL_PROFILES = [
+    pytest.param(eternal_rates(), 1.0, id="eternal"),
+    pytest.param(SHRINK_BURST, 0.9, id="shrink-burst"),
+    pytest.param(constant_rates(1.0, 1.0, -3.0), 0.5, id="negative-z"),
+]
+
+
+def scan_points(n, radius, seed, a12=0.05):
+    center = np.zeros(15)
+    center[11] = a12
+    return mi._ball_points(center, radius, n, seed)
+
+
+class TestBitExactKernel:
+    @pytest.mark.parametrize("rates,t", KERNEL_PROFILES)
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    @pytest.mark.parametrize("radius", [1e-2, 0.2], ids=["inside", "past-edge"])
+    def test_didt_batch_matches_einsum(self, rates, t, n, radius):
+        mats = einsum_states(scan_points(n, radius, seed=n))
+        want = einsum_didt_batch(mats, rates, t)
+        if radius > 0.1 and n > 1:  # some rows leave the state set, some stay
+            assert np.isnan(want).any() and not np.isnan(want).all()
+        assert_same_bits(mi.didt_batch(mats, rates, t), want)
+
+    @pytest.mark.parametrize("rates,t", KERNEL_PROFILES)
+    def test_strided_stacks_match_einsum(self, rates, t):
+        mats = einsum_states(scan_points(500, 0.2, seed=4))
+        want = einsum_didt_batch(mats, rates, t)
+        assert_same_bits(mi.didt_batch(mats[::2], rates, t), want[::2])
+        # same values, with the stack axis last in memory
+        transposed = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert_same_bits(mi.didt_batch(transposed, rates, t), want)
+
+    def test_rows_do_not_depend_on_batch(self):
+        mats = einsum_states(scan_points(64, 0.2, seed=9))
+        whole = mi.didt_batch(mats, SHRINK_BURST, 1.3)
+        singles = np.concatenate([mi.didt_batch(m, SHRINK_BURST, 1.3) for m in mats])
+        assert_same_bits(singles, whole)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-2, 0.2])
+    def test_state_build_matches_einsum(self, radius):
+        for seed in range(3):
+            pts = scan_points(4096, radius, seed, a12=0.1 * seed - 0.1)
+            assert_same_bits(mi._states_from_points(pts), einsum_states(pts))
+
+    def test_neighborhood_didt_matches_einsum_path(self):
+        args = (SHRINK_BURST, 1.2, 0.05, 0.05, 3001)
+        pts = scan_points(3001, 0.05, seed=6)
+        want = einsum_didt_batch(einsum_states(pts), SHRINK_BURST, 1.2)
+        assert_same_bits(mi.neighborhood_didt(*args, seed=6), want)
+
+    def test_threads_match_serial_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(mi.os, "cpu_count", lambda: 2)  # split even on one core
+        args = (constant_rates(1.0, 1.0, -3.0), 0.5, 0.1, 0.2, 4097)
+        serial = mi.neighborhood_didt(*args, seed=3)
+        assert np.isnan(serial).any()
+        assert_same_bits(mi.neighborhood_didt(*args, threads=2, seed=3), serial)
 
 
 class TestBurstComposition:
