@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import (
     DegenerateSplitError,
@@ -536,6 +535,29 @@ def _shrink_to_feasible(effects_of: Callable[[float], list[np.ndarray]]) -> floa
         else:
             hi = mid
     return lo
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    The name stays at module level, not as an import inside its caller,
+    because perfbench/tracer.py patches `ensembles.minimize` by name to
+    count objective evaluations.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on the first call.
+
+    Module-level for the same reason as minimize: the tracer patches
+    `ensembles.minimize_scalar` by name.
+    """
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 def _capped_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, beta: float) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .channels import (
     ExtendedChannel,
@@ -600,6 +599,8 @@ class NeighborhoodScanReport:
 
 def _ball_points(center: np.ndarray, radius: float, samples: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random points in the 15-ball around center."""
+    from scipy.stats import norm, qmc  # slow to import, and only the scans need it
+
     gen = qmc.Sobol(d=16, scramble=True, seed=seed)
     with warnings.catch_warnings():
         # balance is secondary here; sample counts need not be powers of two
@@ -664,7 +665,8 @@ def neighborhood_scan(
 
     Summarizes neighborhood_didt: points that leave the state set are
     dropped from the denominator. A NaN or infinite tolerance raises
-    NonFiniteError.
+    NonFiniteError; a radius at which every sample leaves the state set
+    raises PreconditionError, since no state would have been checked.
     """
     if not math.isfinite(tolerance):
         raise NonFiniteError(f"tolerance must be finite, got {tolerance}")
@@ -672,7 +674,10 @@ def neighborhood_scan(
     valid = ~np.isnan(values)
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return NeighborhoodScanReport(0.0, float("nan"), samples, 0, tolerance)
+        raise PreconditionError(
+            f"no sampled state lies inside the state set: radius={radius} admits "
+            f"no interior state around a_12={a_12}"
+        )
     good = values[valid]
     violations = int((good > tolerance).sum())
     return NeighborhoodScanReport(

@@ -1,8 +1,13 @@
-"""Code hygiene: no private cross-module imports, dead imports, helpers, knobs or parameters."""
+"""Code hygiene: no private cross-module imports, dead imports, helpers, knobs or
+parameters, and no scipy import on the way to `import backflow`."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from backflow import cli
@@ -185,3 +190,92 @@ def test_every_parameter_is_read():
         if (names := unread_parameters(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def import_time_scipy(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each scipy import that runs when the module is imported.
+
+    Imports inside function bodies run on first call and are not reported.
+    """
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                found.extend((node.lineno, a.name) for a in node.names
+                             if a.name.split(".")[0] == "scipy")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] == "scipy":
+                    found.append((node.lineno, node.module))
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_guard_sees_module_level_scipy_import():
+    source = (SRC / "mutinfo.py").read_text(encoding="utf-8")
+    line = source.splitlines().index("import numpy as np") + 2
+    put_back = source.replace(
+        "import numpy as np\n", "import numpy as np\nfrom scipy.stats import norm, qmc\n", 1
+    )
+    assert import_time_scipy(put_back) == [(line, "scipy.stats")]
+    assert import_time_scipy(
+        "import scipy.linalg as sla\n"
+        "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+        "def f():\n    from scipy.optimize import minimize\n    return minimize\n"
+    ) == [(1, "scipy.linalg"), (3, "scipy")]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    offenders = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := import_time_scipy(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """scipy modules a fresh interpreter has loaded after running code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
+    report = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    done = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + report],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import backflow\nimport backflow.cli") == []
+
+
+def test_scipy_free_scenario_loads_no_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "scenario": "hessian-verify",
+        "profile": {"preset": "eternal"},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 2},
+        "output": "hessian.csv",
+        "seed": 0,
+    }))
+    code = (
+        "from backflow import cli\n"
+        f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
+    )
+    assert scipy_modules_after(code) == []
+    assert (tmp_path / "hessian.csv").stat().st_size > 0
+
+
+def test_general_ascent_loads_scipy_optimize():
+    code = (
+        "import numpy as np\n"
+        "from backflow import DensityMatrix, correlation_CB2, random_density_matrix\n"
+        "rho = random_density_matrix(np.random.default_rng(4), 6).matrix\n"
+        "correlation_CB2(DensityMatrix(rho, (2, 3)))\n"
+    )
+    assert "scipy.optimize" in scipy_modules_after(code)

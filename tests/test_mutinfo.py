@@ -516,6 +516,12 @@ class TestNeighborhoodScan:
         with pytest.raises(PreconditionError):
             mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=radius, samples=samples)
 
+    def test_radius_without_interior_state_rejected(self):
+        # every sample of a radius-5 ball leaves the state set: nothing is checked
+        assert np.isnan(mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, 5.0, 50)).all()
+        with pytest.raises(PreconditionError, match="no interior state"):
+            mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=5.0, samples=50)
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
         with pytest.raises(NonFiniteError):
