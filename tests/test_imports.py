@@ -201,7 +201,7 @@ def import_time_scipy(source: str) -> list[tuple[int, str]]:
 
     def visit(nodes):
         for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(node, ast.Import):
                 found.extend((node.lineno, a.name) for a in node.names
