@@ -11,16 +11,17 @@ sphere. A batched minorize-maximize search refines a stack of starting
 directions together, one stacked eigensolve per step, and no step lowers any
 start; that is what makes it reliable enough to compare against closed forms
 at 1e-6. Two-output measurements on larger sides use a monotone alternating
-ascent. More outputs use a penalty search over a traceless Hermitian operator
-basis, kept honest by an exact feasibility projection before any value is
-reported.
+ascent. More outputs use a seesaw that alternates the far side's
+discrimination with pairwise updates of the measured side's effects, for at
+most budget.polish_maxfev rounds; every strategy it holds is exactly
+equiprobable, and it reports the best one's payoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .linalg import (
     DensityMatrix,
     hermitian_eig,
     maximally_mixed,
-    partial_trace,
     tensor_product,
     trace_distance,
     trace_norm,
@@ -253,8 +253,7 @@ class OptimizerBudget:
     sample count. max_iterations: fixed-point steps per start, library calls
     of guessing_probability_bruteforce only (the n-output searches pass their
     own; no scenario config sets it). polish_maxfev: qubit sphere-search steps
-    per start; the n-output Nelder-Mead keeps its own cap of 120. rng_seed:
-    every random start.
+    per start and n-output seesaw rounds. rng_seed: every random start.
     """
 
     seeds: int = 8
@@ -301,6 +300,42 @@ def _certify_effects(effects: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [c + rem / len(clipped) for c in clipped]
 
 
+def _pretty_good_measurement(ws: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """P_i = L^{-1/2} W_i L^{-1/2} with L = sum_j W_j, any null space of L split evenly."""
+    ri = _pinv_sqrt(sum(ws))
+    pgm = [ri @ w @ ri for w in ws]
+    rem = np.eye(ri.shape[0]) - sum(pgm)
+    return [p + rem / len(ws) for p in pgm]
+
+
+def _fixed_point(ws: Sequence[np.ndarray], start: Sequence[np.ndarray],
+                 max_iterations: int) -> tuple[float, list[np.ndarray], int, bool]:
+    """Fixed-point discrimination ascent on weighted states ws from one start.
+
+    Iterates P_i <- L^{-1/2} W_i P_i W_i L^{-1/2} with L = sum_j W_j P_j W_j and
+    returns the best payoff seen (the start's included), its effects, the
+    steps taken and whether eight steps in a row brought no gain.
+    """
+    effs = [p.copy() for p in start]
+    best_val, best_effs = _povm_payoff(ws, effs), effs
+    stall = 0
+    it = 0
+    for it in range(1, max_iterations + 1):
+        lam = sum(w @ p @ w for w, p in zip(ws, effs))
+        li = _pinv_sqrt(lam)
+        # a nearly singular lam amplifies rounding into real asymmetry and
+        # negative parts, so certify the iterate before scoring it
+        effs = _certify_effects([li @ w @ p @ w @ li for w, p in zip(ws, effs)])
+        val = _povm_payoff(ws, effs)
+        if val > best_val + 1e-15:
+            best_val, best_effs, stall = val, effs, 0
+        else:
+            stall += 1
+            if stall >= 8:
+                return best_val, best_effs, it, True
+    return best_val, best_effs, it, False
+
+
 def guessing_probability_bruteforce(
     ensemble: StateEnsemble, budget: OptimizerBudget | None = None
 ) -> DiscriminationResult:
@@ -318,31 +353,7 @@ def guessing_probability_bruteforce(
     dim = ws[0].shape[0]
     rng = np.random.default_rng(budget.rng_seed)
 
-    def run(start: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray], int, bool]:
-        effs = [p.copy() for p in start]
-        best_val, best_effs = _povm_payoff(ws, effs), effs
-        stall = 0
-        it = 0
-        for it in range(1, budget.max_iterations + 1):
-            lam = sum(w @ p @ w for w, p in zip(ws, effs))
-            li = _pinv_sqrt(lam)
-            # a nearly singular lam amplifies rounding into real asymmetry and
-            # negative parts, so certify the iterate before scoring it
-            effs = _certify_effects([li @ w @ p @ w @ li for w, p in zip(ws, effs)])
-            val = _povm_payoff(ws, effs)
-            if val > best_val + 1e-15:
-                best_val, best_effs, stall = val, effs, 0
-            else:
-                stall += 1
-                if stall >= 8:
-                    return best_val, best_effs, it, True
-        return best_val, best_effs, it, False
-
-    # pretty good measurement seed
-    ri = _pinv_sqrt(sum(ws))
-    pgm = [ri @ w @ ri for w in ws]
-    rem = np.eye(dim) - sum(pgm)
-    seeds: list[list[np.ndarray]] = [[p + rem / n for p in pgm]]
+    seeds = [_pretty_good_measurement(ws)]
     seeds.append([np.eye(dim) / n for _ in range(n)])
     # guess-the-prior baseline: assign everything to the most likely member
     imax = int(np.argmax([m.probability for m in ensemble.members]))
@@ -355,7 +366,7 @@ def guessing_probability_bruteforce(
 
     best_val, best_effs, best_it, best_conv = -1.0, None, 0, False
     for s in seeds:
-        val, effs, it, conv = run(s)
+        val, effs, it, conv = _fixed_point(ws, s, budget.max_iterations)
         if val > best_val:
             best_val, best_effs, best_it, best_conv = val, effs, it, conv
     povm = None
@@ -490,59 +501,12 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
     return best
 
 
-def _gell_mann_basis(dim: int) -> list[np.ndarray]:
-    """Traceless Hermitian basis, Tr(B_i B_j) = 2 delta_ij."""
-    basis = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            basis.append(m)
-    for k in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        for i in range(k):
-            m[i, i] = 1.0
-        m[k, k] = -k
-        basis.append(m * math.sqrt(2.0 / (k * (k + 1))))
-    return basis
-
-
-def _shrink_to_feasible(effects_of: Callable[[float], list[np.ndarray]]) -> float:
-    """Largest s in [0, 1] keeping every effect's spectrum inside [0, 1].
-
-    effects_of(0) must be strictly feasible (a rescaled identity), so the
-    feasible region along the segment is an interval containing 0.
-    """
-
-    def ok(s: float) -> bool:
-        for p in effects_of(s):
-            w = np.linalg.eigvalsh(p)
-            if w[0] < -1e-14 or w[-1] > 1.0 + 1e-14:
-                return False
-        return True
-
-    if ok(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on the first call.
 
-    The name stays at module level, not as an import inside its caller,
-    because perfbench/tracer.py patches `ensembles.minimize` by name to
-    count objective evaluations.
+    Nothing in the package calls it any more. It stays because
+    perfbench/tracer.py looks `ensembles.minimize` up by name to count
+    objective evaluations, and fails without it.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -762,18 +726,16 @@ def _flag_measured_n_output_pg(state: DensityMatrix, n: int,
                                budget: OptimizerBudget | None = None) -> float:
     """Best n-output guessing probability measuring the flag qubit itself.
 
-    With no coherence across the flag only effect diagonals (lam_i, eta_i)
-    matter; equiprobability pins lam_i + eta_i = 2/n when the flag marginal is
-    uniform, and completeness pins sum(lam) = 1. The resulting guessing
+    The flag marginal must be uniform. With no coherence across the flag only
+    effect diagonals (lam_i, eta_i) matter; equiprobability then pins
+    lam_i + eta_i = 2/n, and completeness pins sum(lam) = 1. The resulting guessing
     probability is a pointwise maximum of linear functionals of lam, hence
     convex, so its maximum over the polytope sits at a vertex; all vertices
     are outcome relabelings of a single pattern (cap entries, one remainder),
     and the payoff is relabeling-invariant. One discrimination run suffices.
     """
     budget = budget or OptimizerBudget()
-    b0, b1, p0, p1 = _flag_blocks(state)
-    if not (abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9):
-        raise DimensionMismatchError("flag marginal is not uniform")
+    b0, b1, _, _ = _flag_blocks(state)
     cap = 2.0 / n
     inner = OptimizerBudget(seeds=2, max_iterations=80, rng_seed=budget.rng_seed)
 
@@ -830,60 +792,53 @@ def _flag_opposite_n_output_pg(state: DensityMatrix, n: int,
 
 def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
                     budget: OptimizerBudget | None = None) -> float:
-    """Generic n-output search: parametrize n-1 effects, discriminate the
-    prepared far-side ensemble with the fixed-point ascent."""
+    """Best n-output guessing probability by a seesaw between the two sides.
+
+    The payoff sum_i Tr[(M_i (x) E_i) rho] is linear in the measured-side
+    effects M for a fixed far-side POVM E and linear in E for fixed M. Starting
+    from construct_me_povm on the measured marginal, each round takes two
+    steps that do not lower it (the M step up to its one-dimensional dual
+    search's tolerance):
+    - E step: ten fixed-point discrimination steps on the kernels
+      X_i = Tr_meas[(M_i (x) 1) rho], warm-started from the E the search holds
+      (the first from the pretty-good measurement); longer E steps took up
+      to twice as long for about the same values;
+    - M step: for each pair (i, j), with Y_i = Tr_far[(1 (x) E_i) rho], the
+      best M_i at fixed S = M_i + M_j maximizes Tr[(Y_i - Y_j) M_i] over
+      0 <= M_i <= S with Tr(rho_meas M_i) = 1/n, and M_j = S - M_i. Every
+      round keeps sum M = 1 and every outcome probability at exactly 1/n.
+    The search stops after a round that gains no more than 1e-15, or after
+    budget.polish_maxfev rounds, and returns the payoff of the best strategy
+    it held (at least 1/n, which guessing one fixed outcome attains).
+    """
     budget = budget or OptimizerBudget()
     mat, d_meas, d_rest = _bipartition(state, measured)
-    basis = _gell_mann_basis(d_meas)
-    m = len(basis)
-    kernels = np.asarray([_conditional_kernel(mat, d_meas, d_rest, b) for b in basis])
-    rho_rest = _conditional_kernel(mat, d_meas, d_rest, np.eye(d_meas))
-    rho_meas = partial_trace(state, measured).matrix
-    t_vec = np.array([float(np.trace(rho_meas @ b).real) for b in basis])
-    eye = np.eye(d_meas)
-    inner = OptimizerBudget(seeds=2, max_iterations=60, rng_seed=budget.rng_seed)
+    tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
+    rho_meas = np.einsum("arbr->ab", tensor)
+    rho_meas = 0.5 * (rho_meas + rho_meas.conj().T)
+    m_effs = list(construct_me_povm(
+        DensityMatrix(matrix=rho_meas, dims=(d_meas,), _skip_checks=True), n).effects)
 
-    def effects_of(c: np.ndarray) -> list[np.ndarray]:
-        rows = c.reshape(n - 1, m)
-        effs = []
-        for row in rows:
-            p = (1.0 / n - float(row @ t_vec)) * eye
-            for ck, b in zip(row, basis):
-                p = p + ck * b
-            effs.append(0.5 * (p + p.conj().T))
-        effs.append(eye - sum(effs))
-        return effs
+    def far_kernels() -> list[np.ndarray]:
+        out = [_conditional_kernel(mat, d_meas, d_rest, m) for m in m_effs]
+        return [0.5 * (x + x.conj().T) for x in out]
 
-    def kernel_of(p: np.ndarray) -> np.ndarray:
-        # expand p = (tr p / d) 1 + sum_b (tr p b / 2) b in the ON basis
-        out = (float(np.trace(p).real) / d_meas) * rho_rest
-        for b, kb in zip(basis, kernels):
-            out = out + 0.5 * float(np.trace(p @ b).real) * kb
-        return out
-
-    def pg(effs: Sequence[np.ndarray]) -> float:
-        return _equiprobable_pg([kernel_of(p) for p in effs], inner)
-
-    def penalized(c: np.ndarray) -> float:
-        effs = effects_of(c)
-        pen = 0.0
-        for p in effs:
-            w = np.linalg.eigvalsh(p)
-            pen += np.sum(np.clip(-w, 0.0, None) ** 2) + np.sum(np.clip(w - 1.0, 0.0, None) ** 2)
-        return -pg(effs) + 1.0e4 * pen
-
-    rng = np.random.default_rng(budget.rng_seed)
-    starts = [np.zeros((n - 1) * m)]
-    for _ in range(2):
-        starts.append(rng.normal(scale=0.15 / n, size=(n - 1) * m))
-
+    xs = far_kernels()
+    e_effs = _pretty_good_measurement(xs)
     best = 1.0 / n
-    for c0 in starts:
-        res = minimize(penalized, x0=c0, method="Nelder-Mead",
-                       options={"xatol": 1e-5, "fatol": 1e-9, "maxfev": 120})
-        c = np.asarray(res.x)
-        s = _shrink_to_feasible(lambda s: effects_of(s * c))
-        best = max(best, pg(effects_of(s * c)))
+    for _ in range(budget.polish_maxfev):
+        val, e_effs, _, _ = _fixed_point(xs, e_effs, 10)
+        ys = [np.einsum("arbs,sr->ab", tensor, e) for e in e_effs]
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = m_effs[i] + m_effs[j]
+                m_effs[i] = _boxed_linear_opt(ys[i] - ys[j], rho_meas, pair, 1.0 / n)
+                m_effs[j] = pair - m_effs[i]
+        xs = far_kernels()
+        val = max(val, _povm_payoff(xs, e_effs))
+        if val <= best + 1e-15:
+            break
+        best = val
     return best
 
 
@@ -901,16 +856,20 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     best = correlation_C2(state, a_factors, budget)
     b_factors = tuple(range(1, len(state.dims)))
     flaggy = _is_flag_diagonal(state)
+    uniform_flag = False
+    if flaggy:
+        _, _, p0, p1 = _flag_blocks(state)
+        uniform_flag = abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9
     for n in range(3, max_outputs + 1):
-        if flaggy:
-            try:
-                best = max(best, _flag_measured_n_output_pg(state, n, budget) - 0.5)
-            except DimensionMismatchError:
-                best = max(best, _n_output_me_pg(state, a_factors, n, budget) - 0.5)
-            best = max(best, _flag_opposite_n_output_pg(state, n, budget) - 0.5)
+        if uniform_flag:
+            measured = _flag_measured_n_output_pg(state, n, budget)
         else:
-            best = max(best, _n_output_me_pg(state, a_factors, n, budget) - 0.5)
-            best = max(best, _n_output_me_pg(state, b_factors, n, budget) - 0.5)
+            measured = _n_output_me_pg(state, a_factors, n, budget)
+        if flaggy:
+            opposite = _flag_opposite_n_output_pg(state, n, budget)
+        else:
+            opposite = _n_output_me_pg(state, b_factors, n, budget)
+        best = max(best, measured - 0.5, opposite - 0.5)
     return best
 
 
