@@ -239,7 +239,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"t_end {t_end:g} exceeds the profile domain {horizon:g}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    tolerances_raw = raw.get("tolerances") or {}
+    tolerances_raw = raw.get("tolerances", {})
     if not isinstance(tolerances_raw, dict):
         raise ConfigError("tolerances must be an object")
     for key, value in tolerances_raw.items():
@@ -254,7 +254,7 @@ def load_config(path: str) -> ScenarioConfig:
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
-    budget_raw = raw.get("budget") or {}
+    budget_raw = raw.get("budget", {})
     if not isinstance(budget_raw, dict):
         raise ConfigError("budget must be an object")
     keys = ("seeds", "polish_maxfev")

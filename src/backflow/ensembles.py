@@ -284,20 +284,12 @@ def _povm_payoff(weighted: Sequence[np.ndarray], effects: Sequence[np.ndarray]) 
 
 
 def _certify_effects(effects: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Clip each effect to the PSD cone, restore the sum by a sandwich, spread the rest.
-
-    The sandwich L^{-1/2} C L^{-1/2} keeps every effect PSD while restoring
-    the completeness the clip may have broken; any null space of the sum
-    re-enters through its (PSD) projector split evenly.
-    """
+    """Clip each effect to the PSD cone, then restore completeness by the PGM sandwich."""
     clipped = []
     for e in effects:
         w, u = np.linalg.eigh(0.5 * (e + e.conj().T))
         clipped.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-    ti = _pinv_sqrt(sum(clipped))
-    clipped = [ti @ c @ ti for c in clipped]
-    rem = np.eye(ti.shape[0]) - sum(clipped)
-    return [c + rem / len(clipped) for c in clipped]
+    return _pretty_good_measurement(clipped)
 
 
 def _pretty_good_measurement(ws: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -655,26 +647,22 @@ def _flag_blocks(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray, float, f
 
 
 def _two_output_me_flag_exact(state: DensityMatrix) -> float:
-    """Exact best value when measuring the side opposite a classical flag.
+    """Best value when measuring the side opposite a classical flag.
 
     For a flag-diagonal state the value is max_P |Tr[(B0 - B1) P] + 1/2 - p0|
     over effects with Tr[(B0 + B1) P] = 1/2 and 0 <= P <= 1 (B blocks
-    unnormalized, p0 = Tr B0). Each sign branch is a linear program whose
-    Lagrangian dual is a one-dimensional convex minimization; strong duality
-    holds because P = 1/2 is strictly feasible.
+    unnormalized, p0 = Tr B0). Each sign branch is the one-multiplier linear
+    program of _capped_linear_opt; the value reported is the primal value
+    Tr[(B0 - B1) P] of the effect it returns, so a valid equiprobable
+    measurement attains it.
     """
     b0, b1, p0, _ = _flag_blocks(state)
     diff = 0.5 * ((b0 - b1) + (b0 - b1).conj().T)
     tot = 0.5 * ((b0 + b1) + (b0 + b1).conj().T)
 
     def branch(sign: float) -> float:
-        def f(mu: float) -> float:
-            w = np.linalg.eigvalsh(sign * diff - mu * tot)
-            return float(w[w > 0].sum()) + 0.5 * mu
-
-        res = minimize_scalar(f, bounds=(-50.0, 50.0), method="bounded",
-                              options={"xatol": 1e-13})
-        return float(res.fun) + sign * (0.5 - p0)
+        p_eff = _capped_linear_opt(sign * diff, tot, 0.5)
+        return sign * (float(np.trace(diff @ p_eff).real) + 0.5 - p0)
 
     return max(branch(1.0), branch(-1.0), 0.0)
 
@@ -707,46 +695,6 @@ def correlation_C2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
 
 
 # --- searches with more than two outputs -----------------------------------
-
-
-def _equiprobable_pg(blocks: Sequence[np.ndarray], inner: OptimizerBudget) -> float:
-    """Guessing probability of the n equiprobable states n * B_i (blocks of trace 1/n)."""
-    n = len(blocks)
-    members = []
-    for blk in blocks:
-        blk = 0.5 * (blk + blk.conj().T)
-        members.append(EnsembleMember(
-            probability=1.0 / n,
-            state=DensityMatrix(matrix=blk * n, dims=(blk.shape[0],), _skip_checks=True),
-        ))
-    return guessing_probability_bruteforce(StateEnsemble(members=tuple(members)), inner).value
-
-
-def _flag_measured_n_output_pg(state: DensityMatrix, n: int,
-                               budget: OptimizerBudget | None = None) -> float:
-    """Best n-output guessing probability measuring the flag qubit itself.
-
-    The flag marginal must be uniform. With no coherence across the flag only
-    effect diagonals (lam_i, eta_i) matter; equiprobability then pins
-    lam_i + eta_i = 2/n, and completeness pins sum(lam) = 1. The resulting guessing
-    probability is a pointwise maximum of linear functionals of lam, hence
-    convex, so its maximum over the polytope sits at a vertex; all vertices
-    are outcome relabelings of a single pattern (cap entries, one remainder),
-    and the payoff is relabeling-invariant. One discrimination run suffices.
-    """
-    budget = budget or OptimizerBudget()
-    b0, b1, _, _ = _flag_blocks(state)
-    cap = 2.0 / n
-    inner = OptimizerBudget(seeds=2, max_iterations=80, rng_seed=budget.rng_seed)
-
-    def payoff(lam: np.ndarray) -> float:
-        return _equiprobable_pg([li * b0 + (cap - li) * b1 for li in lam], inner)
-
-    k = n // 2
-    vertex = np.zeros(n)
-    vertex[:k] = cap
-    vertex[k] = 1.0 - k * cap  # 0 for even n, 1/n for odd n
-    return max(payoff(vertex), 1.0 / n)
 
 
 def _flag_opposite_n_output_pg(state: DensityMatrix, n: int,
@@ -856,20 +804,24 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     best = correlation_C2(state, a_factors, budget)
     b_factors = tuple(range(1, len(state.dims)))
     flaggy = _is_flag_diagonal(state)
-    uniform_flag = False
-    if flaggy:
-        _, _, p0, p1 = _flag_blocks(state)
-        uniform_flag = abs(p0 - 0.5) < 1e-9 and abs(p1 - 0.5) < 1e-9
+    # Measuring a uniform classical flag (p0 = 1/2) with n >= 3 outputs never
+    # beats CA2, so that term is skipped. With D = B0 - B1 (Tr D = 0 and
+    # T = ||D||_1 <= 1), an equiprobable flag measurement has diagonal effects
+    # (lam_i, 2/n - lam_i) and conditional blocks (B0 + B1)/n + (lam_i - 1/n) D
+    # with |lam_i - 1/n| <= 1/n, so for any far-side POVM E its payoff is at
+    # most 1/n + (1/n) sum_i Tr(|D| E_i) = (1 + T)/n. There K_x = K_y = 0 and
+    # r = 0, so the qubit sphere search maximizes f(v) = |v_z| T/2, and its
+    # first Fibonacci point alone has v_z = 63/64: CA2 >= 63 T/128 > T/3. Hence
+    # (1 + T)/n - 1/2 <= T/2 - (1 + T)/6 = T/3 - 1/6 lies at least 1/6 below CA2.
+    uniform_flag = flaggy and max(abs(p - 0.5) for p in _flag_blocks(state)[2:]) < 1e-9
     for n in range(3, max_outputs + 1):
-        if uniform_flag:
-            measured = _flag_measured_n_output_pg(state, n, budget)
-        else:
-            measured = _n_output_me_pg(state, a_factors, n, budget)
+        if not uniform_flag:
+            best = max(best, _n_output_me_pg(state, a_factors, n, budget) - 0.5)
         if flaggy:
             opposite = _flag_opposite_n_output_pg(state, n, budget)
         else:
             opposite = _n_output_me_pg(state, b_factors, n, budget)
-        best = max(best, measured - 0.5, opposite - 0.5)
+        best = max(best, opposite - 0.5)
     return best
 
 

@@ -203,6 +203,16 @@ class TestNonFiniteAndNonIntegralInput:
                     "base": {"preset": "eternal"},
                 },
             ),
+            lambda c, d: c.__setitem__("tolerances", []),
+            lambda c, d: c.__setitem__("tolerances", False),
+            lambda c, d: c.__setitem__("tolerances", 0),
+            lambda c, d: c.__setitem__("tolerances", ""),
+            lambda c, d: c.__setitem__("tolerances", None),
+            lambda c, d: c.__setitem__("budget", []),
+            lambda c, d: c.__setitem__("budget", False),
+            lambda c, d: c.__setitem__("budget", 0),
+            lambda c, d: c.__setitem__("budget", ""),
+            lambda c, d: c.__setitem__("budget", None),
         ],
         ids=[
             "constant-nan-rate",
@@ -230,6 +240,16 @@ class TestNonFiniteAndNonIntegralInput:
             "boolean-grid-start",
             "boolean-rate",
             "boolean-burst-activate",
+            "tolerances-empty-list",
+            "tolerances-false",
+            "tolerances-zero",
+            "tolerances-empty-string",
+            "tolerances-null",
+            "budget-empty-list",
+            "budget-false",
+            "budget-zero",
+            "budget-empty-string",
+            "budget-null",
         ],
     )
     def test_exits_config_without_csv(self, tmp_path, capsys, mutate):

@@ -601,11 +601,10 @@ class TestCorrelationGeneral:
             assert ensembles._n_output_me_pg(state, (side,), 3, SMALL_BUDGET) >= start_pg - 1e-9
 
     def test_nonuniform_flag_runs_generic_search(self, monkeypatch):
-        # the flag-measured shortcut needs a uniform flag marginal
+        # only a uniform flag marginal lets C_general skip the flag side
         rng = np.random.default_rng(9)
         rho_a = as_matrix(random_density_matrix(rng, 2))
         rho_b = as_matrix(random_density_matrix(rng, 2))
-        probe = flag_state(rho_a, rho_b, (2,), p=0.7)
         measured = []
         search = ensembles._n_output_me_pg
 
@@ -614,10 +613,36 @@ class TestCorrelationGeneral:
             return search(state, sides, n, budget)
 
         monkeypatch.setattr(ensembles, "_n_output_me_pg", recorder)
-        c2 = correlation_C2(probe, budget=SMALL_BUDGET)
-        c3 = correlation_C_general(probe, max_outputs=3, budget=SMALL_BUDGET)
-        assert measured == [(0,)]
-        assert c3 >= c2 - 1e-9
+        for p, sides in ((0.7, [(0,)]), (0.5, [])):
+            measured.clear()
+            probe = flag_state(rho_a, rho_b, (2,), p=p)
+            c2 = correlation_C2(probe, budget=SMALL_BUDGET)
+            c3 = correlation_C_general(probe, max_outputs=3, budget=SMALL_BUDGET)
+            assert measured == sides
+            assert c3 >= c2 - 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_uniform_flag_measured_term_below_ca2(self, dim, n):
+        """The bound that lets C_general skip measuring a uniform flag.
+
+        The vertex measurement diag(lam_i, 2/n - lam_i), lam = (2/n, ..., 2/n,
+        remainder, 0, ...), prepares an ensemble whose guessing probability is
+        (1 + T)/n with T = ||B0 - B1||_1, and no equiprobable flag measurement
+        does better; that stays at least 1/6 below CA2 + 1/2.
+        """
+        k = n // 2
+        lam = [2.0 / n] * k + [1.0 - 2.0 * k / n] + [0.0] * (n - k - 1)
+        vertex = Povm(effects=tuple(np.diag([li, 2.0 / n - li]) for li in lam))
+        for seed in range(3):
+            rng = np.random.default_rng(40 + seed)
+            rho_a = as_matrix(random_density_matrix(rng, dim))
+            rho_b = as_matrix(random_density_matrix(rng, dim))
+            probe = flag_state(rho_a, rho_b, (dim,))
+            bound = (1.0 + trace_norm(0.5 * (rho_a - rho_b))) / n
+            pg = guessing_probability_bruteforce(measure_on_subsystem(probe, vertex, 0)).value
+            assert bound - 1e-6 <= pg <= bound + 1e-12
+            assert bound - 0.5 <= correlation_CA2(probe) - 1.0 / 6.0 + 1e-12
 
 
 def _correlated_classical_state() -> DensityMatrix:
@@ -669,6 +694,39 @@ class TestNOutputSeesaw:
         full = ensembles._n_output_me_pg(state, (0,), 3)
         assert 2 < len(calls) <= OptimizerBudget().polish_maxfev
         assert full >= capped
+
+
+class TestCappedLinearOpt:
+    """The one-multiplier program: maximize Tr(QP) over 0 <= P <= 1 with Tr(RP) = beta."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_diagonal_case_matches_linprog(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        q, r = rng.normal(size=dim), rng.uniform(0.2, 1.0, size=dim)
+        beta = float(rng.uniform(0.1, 0.9) * r.sum())
+        p_eff = ensembles._capped_linear_opt(np.diag(q), np.diag(r), beta)
+        lp = optimize.linprog(-q, A_eq=r[None, :], b_eq=[beta], bounds=[(0.0, 1.0)] * dim)
+        assert lp.status == 0
+        assert float(np.trace(np.diag(q) @ p_eff).real) == pytest.approx(-lp.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_feasible_and_below_every_dual_value(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        dim = int(rng.integers(2, 6))
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q = 0.5 * (g + g.conj().T)
+        r = as_matrix(random_density_matrix(rng, dim))
+        beta = float(rng.uniform(0.05, 0.95))
+        p_eff = ensembles._capped_linear_opt(q, r, beta)
+        w = np.linalg.eigvalsh(p_eff)
+        assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+        assert abs(np.trace(r @ p_eff).real - beta) <= 1e-12
+        # weak duality: Tr(QP) <= f(mu) = sum of positive eig(Q - mu R) + beta mu
+        primal = float(np.trace(q @ p_eff).real)
+        for mu in np.linspace(-20.0, 20.0, 161):
+            ev = np.linalg.eigvalsh(q - mu * r)
+            assert primal <= ev[ev > 0].sum() + beta * mu + 1e-12
 
 
 class TestScipyForwarders:
