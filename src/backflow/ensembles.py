@@ -496,9 +496,9 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
 def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on the first call.
 
-    Nothing in the package calls it any more. It stays because
-    perfbench/tracer.py looks `ensembles.minimize` up by name to count
-    objective evaluations, and fails without it.
+    No search in the package calls it or minimize_scalar. Both stay because
+    perfbench/tracer.py looks `ensembles.minimize` and
+    `ensembles.minimize_scalar` up by name, and fails without them.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -508,40 +508,158 @@ def minimize(*args, **kwargs):
 def minimize_scalar(*args, **kwargs):
     """scipy.optimize.minimize_scalar, imported on the first call.
 
-    Module-level for the same reason as minimize: the tracer patches
-    `ensembles.minimize_scalar` by name.
+    Uncalled in the package, like minimize: it stays only for the tracer.
     """
     from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
     return scipy_minimize_scalar(*args, **kwargs)
 
 
+def _dual_kinks(q_mat: np.ndarray, r_val: np.ndarray,
+                r_vec: np.ndarray) -> tuple[np.ndarray, int]:
+    """Kinks of mu -> Tr(Q - mu R)_+, ascending, and the count right of the last.
+
+    r_val, r_vec is the eigendecomposition of R; eigenvalues up to 1e-12 of
+    the largest count as its kernel K and the rest as its support S. With K
+    empty the kinks are the generalized eigenvalues of (Q, R), where one
+    eigenvalue of Q - mu R crosses zero. Otherwise eliminate K by Haynsworth
+    inertia: the invertible part of Q_KK contributes its positive eigenvalues
+    and a Schur complement on S; the part of K that Q_KK annihilates but Q_SK
+    couples to S (rank b) contributes b positive and b negative eigenvalues
+    for every mu and confines the kinks to the S directions orthogonal to
+    that coupling. So Q - mu R has exactly fixed + #{k : kink_k > mu}
+    positive eigenvalues.
+    """
+    k = int(np.sum(r_val <= 1e-12 * r_val[-1]))
+    qv = r_vec.conj().T @ q_mat @ r_vec
+    q_ss = qv[k:, k:]
+    basis = np.diag(r_val[k:] ** -0.5)  # R-orthonormal on S
+    fixed = 0
+    if k:
+        a, a_vec = np.linalg.eigh(qv[:k, :k])
+        q_tol = 1e-12 * np.linalg.norm(q_mat)
+        live = np.abs(a) > q_tol
+        fixed = int(np.sum(a > q_tol))
+        q_sk = qv[k:, :k] @ a_vec
+        q_ss = q_ss - (q_sk[:, live] / a[live]) @ q_sk[:, live].conj().T
+        z, s, _ = np.linalg.svd(q_sk[:, ~live])
+        rank = int(np.sum(s > q_tol))
+        if rank:
+            fixed += rank
+            z = z[:, rank:]
+            zw, zv = np.linalg.eigh(z.conj().T @ (r_val[k:, None] * z))
+            basis = z @ (zv / np.sqrt(zw))
+    return np.linalg.eigvalsh(basis.conj().T @ q_ss @ basis), fixed
+
+
+def _eig_shifted(q_mat: np.ndarray, r_mat: np.ndarray, mu: float):
+    """Eigenpairs of Q - mu R with eigenvalues descending, and R in that eigenbasis."""
+    w, u = np.linalg.eigh(q_mat - mu * r_mat)
+    w, u = w[::-1], u[:, ::-1]
+    return w, u, u.conj().T @ r_mat @ u
+
+
+def _dual_minimizer(q_mat: np.ndarray, r_mat: np.ndarray, beta: float,
+                    r_val: np.ndarray, r_vec: np.ndarray):
+    """_eig_shifted at the minimizer mu* of f(mu) = Tr(Q - mu R)_+ + beta mu.
+
+    f is convex and smooth between its kinks (_dual_kinks), which also give
+    the count p of positive eigenvalues w_1 >= ... >= w_p of Q - mu R on each
+    piece. With u_k the eigenvectors, the slope there is
+    f' = beta - sum_{k <= p} u_k^+ R u_k; at a kink the right slope uses the
+    count to its right and the left slope subtracts the cost of u_{p+1}. A
+    bisection over the kinks finds the first whose right slope is >= 0. If
+    its left slope is <= 0, 0 lies in the subdifferential and the kink is
+    mu*. Otherwise mu* lies inside the piece to its left, where Newton's
+    method with f'' = 2 sum_{k <= p < l} |u_k^+ R u_l|^2 / (w_k - w_l), kept
+    inside the piece by bisection, runs until |f'| <= 1e-15, its step falls
+    below rounding, or the bracket collapses. With R positive definite mu*
+    lies between the first and last kink. Otherwise an end piece is closed
+    by f(mu) >= beta mu (take P = 0) and f(mu) >= Tr Q - mu (Tr R - beta)
+    (P = 1): with f(mu*) <= f(0) = Tr Q_+ and Tr Q_+, Tr Q_- <= sqrt(d)
+    ||Q||_F they bound mu*.
+    """
+    kinks, fixed = _dual_kinks(q_mat, r_val, r_vec)
+    m = kinks.size
+    seen = {}
+
+    def at_kink(j: int):
+        if j not in seen:
+            seen[j] = _eig_shifted(q_mat, r_mat, float(kinks[j]))
+        return seen[j]
+
+    def slope(spec, p: int) -> float:
+        return beta - float(np.diagonal(spec[2])[:p].real.sum())
+
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if slope(at_kink(mid), fixed + m - 1 - mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    p = fixed + m - lo  # positive eigenvalues on the piece left of kink lo
+    span = math.sqrt(q_mat.shape[0]) * float(np.linalg.norm(q_mat))
+    floor = 1e-12 * r_val[-1]
+    left = float(kinks[lo - 1]) if lo else -span / max(r_val.sum() - beta, floor)
+    right = float(kinks[lo]) if lo < m else span / max(beta, floor)
+    if lo < m:
+        mu, spec = right, at_kink(lo)
+        if slope(spec, p) <= 0.0:
+            return spec
+    elif m:
+        mu, spec = left, at_kink(m - 1)
+    else:
+        mu, spec = 0.0, _eig_shifted(q_mat, r_mat, 0.0)
+    for _ in range(100):
+        grad = slope(spec, p)
+        if abs(grad) <= 1e-15:
+            break
+        if grad < 0.0:
+            left = mu
+        else:
+            right = mu
+        w, ru = spec[0], spec[2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = 2.0 * np.sum(np.abs(ru[:p, p:]) ** 2 / (w[:p, None] - w[None, p:]))
+            step = mu - grad / curv
+        if abs(step - mu) <= 1e-15 * abs(mu):
+            break
+        if not left < step < right:
+            step = 0.5 * (left + right)
+            if not left < step < right:
+                break
+        mu, spec = step, _eig_shifted(q_mat, r_mat, step)
+    return spec
+
+
 def _capped_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, beta: float) -> np.ndarray:
     """Maximize Tr(Q P) over 0 <= P <= 1 with Tr(R P) = beta, R PSD.
 
-    The dual over the single multiplier mu is convex and one-dimensional; the
-    primal optimum is recovered by a fractional fill in the eigenbasis of
-    Q - mu* R, spending the R-budget on the best profit-to-cost directions
-    first (the exchange argument holds with negative profits too). The
-    returned effect is exactly feasible.
+    The Lagrange dual over the single multiplier mu is solved exactly with a
+    few eigensolves (_dual_minimizer); the primal optimum is recovered by a
+    fractional fill in the eigenbasis of Q - mu* R, spending the R-budget on
+    the best profit-to-cost directions first (the exchange argument holds
+    with negative profits too). Directions that cost no more than R's kernel
+    threshold (_dual_kinks) are free and taken iff they add profit. With R
+    = 0 every direction is free and mu* = 0. The returned effect is exactly
+    feasible.
     """
-
-    def f(mu: float) -> float:
-        w = np.linalg.eigvalsh(q_mat - mu * r_mat)
-        return float(w[w > 0].sum()) + beta * mu
-
-    res = minimize_scalar(f, bounds=(-60.0, 60.0), method="bounded",
-                          options={"xatol": 1e-12})
-    mu = float(res.x)
-    w, u = np.linalg.eigh(q_mat - mu * r_mat)
-    costs = np.real(np.einsum("ik,ij,jk->k", u.conj(), r_mat, u))
-    dim = w.size
+    dim = q_mat.shape[0]
+    r_val, r_vec = np.linalg.eigh(r_mat)
+    r_max = float(r_val[-1]) if dim else 0.0
+    if r_max > 0.0:
+        w, u, ru = _dual_minimizer(q_mat, r_mat, beta, r_val, r_vec)
+    else:
+        w, u, ru = _eig_shifted(q_mat, r_mat, 0.0)
+    costs = np.real(np.diagonal(ru))
     p_out = np.zeros((dim, dim), dtype=complex)
     budget_left = beta
-    free = costs <= 1e-15
+    free = costs <= 1e-12 * r_max
     for k in range(dim):  # zero-cost directions: include iff they add profit
         if free[k] and w[k] > 1e-14:
             p_out += np.outer(u[:, k], u[:, k].conj())
+            budget_left -= costs[k]
     paying = [k for k in range(dim) if not free[k]]
     paying.sort(key=lambda k: w[k] / costs[k], reverse=True)
     for k in paying:
@@ -745,8 +863,7 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
     The payoff sum_i Tr[(M_i (x) E_i) rho] is linear in the measured-side
     effects M for a fixed far-side POVM E and linear in E for fixed M. Starting
     from construct_me_povm on the measured marginal, each round takes two
-    steps that do not lower it (the M step up to its one-dimensional dual
-    search's tolerance):
+    steps that do not lower it:
     - E step: ten fixed-point discrimination steps on the kernels
       X_i = Tr_meas[(M_i (x) 1) rho], warm-started from the E the search holds
       (the first from the pretty-good measurement); longer E steps took up

@@ -271,11 +271,14 @@ def test_scipy_free_scenario_loads_no_scipy(tmp_path):
     assert (tmp_path / "hessian.csv").stat().st_size > 0
 
 
-def test_general_ascent_loads_scipy_optimize():
+def test_correlation_searches_load_no_scipy():
     code = (
         "import numpy as np\n"
-        "from backflow import DensityMatrix, correlation_CB2, random_density_matrix\n"
+        "from backflow import DensityMatrix, OptimizerBudget, correlation_C_general\n"
+        "from backflow import correlation_CB2, random_density_matrix\n"
         "rho = random_density_matrix(np.random.default_rng(4), 6).matrix\n"
         "correlation_CB2(DensityMatrix(rho, (2, 3)))\n"
+        "rho = random_density_matrix(np.random.default_rng(5), 4).matrix\n"
+        "correlation_C_general(DensityMatrix(rho, (2, 2)), 4, OptimizerBudget(polish_maxfev=5))\n"
     )
-    assert "scipy.optimize" in scipy_modules_after(code)
+    assert scipy_modules_after(code) == []
