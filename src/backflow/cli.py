@@ -384,6 +384,11 @@ def _run_mutinfo(config: ScenarioConfig, threads: int | None):
             config.profile, float(t), 0.0, config.epsilon, config.budget.seeds,
             threads=threads, seed=config.seed + k,
         )
+        if np.isnan(values).all():
+            raise PreconditionError(
+                f"no sampled state lies inside the state set at t={float(t):g}: "
+                f"epsilon={config.epsilon:g} admits no interior state"
+            )
         for v in values:
             hit = bool(not np.isnan(v) and v > tol)
             violated = violated or hit

@@ -12,9 +12,9 @@ its Hessian at a stationary state is a Hadamard-weighted entropy Hessian.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -597,18 +597,78 @@ class NeighborhoodScanReport:
     tolerance: float
 
 
+# Joe-Kuo direction numbers of the first sixteen Sobol dimensions: the
+# primitive polynomial of each (its bits, leading and constant terms included)
+# and its initial direction numbers, one per degree; dimension 0 is all ones.
+_SOBOL_POLYNOMIALS = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97)
+_SOBOL_INITIAL = (
+    (), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49),
+    (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49),
+)
+_SOBOL_BITS = 30  # at most 2**_SOBOL_BITS distinct points
+_MSB_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+@functools.cache  # built on the first scan, so importing the module stays cheap
+def _sobol_directions() -> np.ndarray:
+    """Direction numbers m_{d,j} / 2**(j+1) as 30-bit fractions: (16, _SOBOL_BITS) uint32."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in zip(_SOBOL_POLYNOMIALS[1:], _SOBOL_INITIAL[1:]):
+        deg = len(init)
+        v = list(init)
+        for j in range(deg, _SOBOL_BITS):
+            new = v[j - deg]
+            for k in range(deg):
+                if poly >> (deg - 1 - k) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    directions = np.array(rows, dtype=np.uint32) << _MSB_FIRST
+    directions.flags.writeable = False  # one cached copy serves every scan
+    return directions
+
+
+def _sobol_points(samples: int, seed: int) -> np.ndarray:
+    """The first samples points of the LMS-scrambled, shifted 16-dim Sobol sequence.
+
+    Bit for bit `scipy.stats.qmc.Sobol(d=16, scramble=True, seed=seed).random(samples)`:
+    the same draws from `default_rng(seed)` in the same order, the digital
+    shift first and then the lower-triangular scramble matrices, and the
+    same Gray-code order of points. All but the final scaling is exact
+    integer arithmetic. The caller keeps 1 <= samples <= 2**_SOBOL_BITS.
+    """
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(0, 2, (16, _SOBOL_BITS), dtype=np.uint32)
+    lower = np.tril(rng.integers(0, 2, (16, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lower |= np.eye(_SOBOL_BITS, dtype=np.uint32)
+    shift = (shift_bits << np.arange(_SOBOL_BITS, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    # scrambled bit p of each direction number is the parity of row p of the
+    # scramble matrix against its bits, both read most significant first
+    rows = (lower << _MSB_FIRST).sum(axis=2, dtype=np.uint32)
+    parity = rows[:, :, None] & _sobol_directions()[:, None, :]
+    for s in (16, 8, 4, 2, 1):
+        parity ^= parity >> s
+    scrambled = ((parity & 1) << _MSB_FIRST[None, :, None]).sum(axis=1, dtype=np.uint32)
+    # point k >= 1 flips the direction number of the lowest set bit of k
+    k = np.arange(1, samples, dtype=np.int64)
+    flips = np.frexp((k & -k).astype(np.float64))[1] - 1
+    points = np.empty((samples, 16), dtype=np.uint32)
+    points[0] = shift
+    np.take(scrambled.T, flips, axis=0, out=points[1:])
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    return points * 2.0**-_SOBOL_BITS
+
+
 def _ball_points(center: np.ndarray, radius: float, samples: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random points in the 15-ball around center."""
-    from scipy.stats import norm, qmc  # slow to import, and only the scans need it
+    from scipy.special import ndtri  # the scans alone need it; import on first use
 
-    gen = qmc.Sobol(d=16, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        # balance is secondary here; sample counts need not be powers of two
-        warnings.simplefilter("ignore", UserWarning)
-        raw = gen.random(samples)
+    raw = _sobol_points(samples, seed)
     # first 15 dims give a direction through the Gaussian trick, the last the
     # radial fraction with the d-ball volume correction
-    gauss = norm.ppf(np.clip(raw[:, :15], 1e-12, 1.0 - 1e-12))
+    gauss = ndtri(np.clip(raw[:, :15], 1e-12, 1.0 - 1e-12))
     lengths = np.linalg.norm(gauss, axis=1)
     lengths = np.where(lengths > 0, lengths, 1.0)
     radial = radius * raw[:, 15] ** (1.0 / 15.0)
@@ -631,14 +691,15 @@ def neighborhood_didt(
     set are NaN. With threads > 1 the samples are split into
     min(threads, cores) batches evaluated in parallel; the values do not
     depend on it. A non-finite t or radius raises NonFiniteError, a negative
-    radius or fewer than one sample PreconditionError.
+    radius or a sample count outside [1, 2**30] PreconditionError.
     """
     _check_a12(a_12)
     if not math.isfinite(radius):
         raise NonFiniteError(f"radius must be finite, got {radius}")
-    if radius < 0.0 or samples < 1:
+    if radius < 0.0 or not 1 <= samples <= 2**_SOBOL_BITS:
         raise PreconditionError(
-            f"need radius >= 0 and samples >= 1, got radius={radius}, samples={samples}"
+            f"need radius >= 0 and 1 <= samples <= 2**{_SOBOL_BITS}, "
+            f"got radius={radius}, samples={samples}"
         )
     center = np.zeros(15)
     center[11] = a_12  # coordinate a_12 of the 15 free entries a_1..a_15

@@ -425,3 +425,17 @@ class TestDeterminism:
         target = tmp_path / "nested" / "dir"
         assert main(["run", path, "--output", str(target)]) == EXIT_OK
         assert (target / "out.csv").exists()
+
+
+def test_mutinfo_scan_with_no_interior_sample_is_exit_config(tmp_path, capsys):
+    cfg = base_config("mutinfo-map")
+    cfg["epsilon"] = 0.5  # every sample of this ball leaves the state set
+    assert run_cli(tmp_path, cfg) == EXIT_CONFIG
+    assert "no sampled state lies inside the state set" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+    # at 0.2 about half of each time's samples leave it: their NaN rows stay
+    cfg["epsilon"] = 0.2
+    assert run_cli(tmp_path, cfg) == EXIT_OK
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 64
+    assert 0 < sum(r.split(",")[1] == "nan" for r in rows) < 3 * 64

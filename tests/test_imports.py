@@ -282,3 +282,25 @@ def test_correlation_searches_load_no_scipy():
         "correlation_C_general(DensityMatrix(rho, (2, 2)), 4, OptimizerBudget(polish_maxfev=5))\n"
     )
     assert scipy_modules_after(code) == []
+
+
+def test_mutinfo_scenario_loads_only_scipy_special(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "scenario": "mutinfo-map",
+        "profile": {"preset": "eternal"},
+        "grid": {"t_start": 0.5, "t_end": 1.5, "steps": 2},
+        "budget": {"seeds": 64},
+        "epsilon": 0.016,
+        "output": "mutinfo.csv",
+        "seed": 0,
+    }))
+    code = (
+        "from backflow import cli\n"
+        f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
+    )
+    packages = {m.split(".")[1] for m in scipy_modules_after(code) if "." in m}
+    assert "special" in packages
+    assert packages.isdisjoint({"stats", "optimize"})
+    assert (tmp_path / "mutinfo.csv").stat().st_size > 0

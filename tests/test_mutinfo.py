@@ -660,6 +660,62 @@ class TestBitExactKernel:
         assert_same_bits(mi.neighborhood_didt(*args, threads=2, seed=3), serial)
 
 
+def scipy_ball_points(center, radius, n, seed):
+    """The neighbourhood draw through scipy.stats, as mutinfo once made it."""
+    from scipy.stats import norm, qmc
+
+    raw = qmc.Sobol(d=16, scramble=True, seed=seed).random(n)
+    gauss = norm.ppf(np.clip(raw[:, :15], 1e-12, 1.0 - 1e-12))
+    lengths = np.linalg.norm(gauss, axis=1)
+    lengths = np.where(lengths > 0, lengths, 1.0)
+    radial = radius * raw[:, 15] ** (1.0 / 15.0)
+    return center[None, :] + (gauss / lengths[:, None]) * radial[:, None]
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol:UserWarning")
+class TestSobolDraw:
+    """The numpy Sobol draw against scipy.stats, which only these tests import."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 3001, 4096])
+    def test_matches_scipy_sobol(self, n):
+        from scipy.stats import qmc
+
+        for seed in [*range(40), 2**31 - 1]:
+            want = qmc.Sobol(d=16, scramble=True, seed=seed).random(n)
+            assert_same_bits(mi._sobol_points(n, seed), want)
+
+    def test_ndtri_matches_norm_ppf(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        ends = np.array([0.0, 2.0**-30, 1e-12, 0.5, 1.0 - 1e-12, 1.0])
+        for raw in [ends, *(mi._sobol_points(4096, seed)[:, :15] for seed in range(4))]:
+            clipped = np.clip(raw, 1e-12, 1.0 - 1e-12)
+            assert_same_bits(ndtri(clipped), norm.ppf(clipped))
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-2, 0.2])
+    def test_ball_points_match_scipy_path(self, radius):
+        for seed, n in [(0, 1), (5, 7), (11, 2000), (3, 3001)]:
+            center = np.zeros(15)
+            center[11] = 0.01 * seed
+            want = scipy_ball_points(center, radius, n, seed)
+            assert_same_bits(mi._ball_points(center, radius, n, seed), want)
+
+    def test_more_than_2_30_samples_rejected_before_drawing(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def draw(samples, seed):
+            raise Drawn  # nothing of size 2**30 is ever allocated here
+
+        monkeypatch.setattr(mi, "_sobol_points", draw)
+        for scan in (mi.neighborhood_didt, mi.neighborhood_scan):
+            with pytest.raises(PreconditionError, match="samples"):
+                scan(eternal_rates(), 1.0, 0.0, radius=0.01, samples=2**30 + 1)
+            with pytest.raises(Drawn):  # the largest count scipy allows goes through
+                scan(eternal_rates(), 1.0, 0.0, radius=0.01, samples=2**30)
+
+
 class TestBurstComposition:
     """After an epsilon-burst the image of the dynamics cannot gain I."""
 
