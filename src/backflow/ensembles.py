@@ -251,7 +251,7 @@ class OptimizerBudget:
     seeds: fixed-point starts (guessing_probability_bruteforce), general
     two-output ascent starts (max(3, seeds // 2)) and the CLI mutinfo-map
     sample count. max_iterations: fixed-point steps per start, library calls
-    of guessing_probability_bruteforce only (the n-output searches pass their
+    of guessing_probability_bruteforce only (the n-output search passes its
     own; no scenario config sets it). polish_maxfev: qubit sphere-search steps
     per start and n-output seesaw rounds. rng_seed: every random start.
     """
@@ -268,9 +268,6 @@ class DiscriminationResult:
     iterations: int
     converged: bool
     povm: Povm | None = None
-
-    def __float__(self) -> float:  # convenience for comparisons in callers
-        return self.value
 
 
 def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -815,47 +812,6 @@ def correlation_C2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
 # --- searches with more than two outputs -----------------------------------
 
 
-def _flag_opposite_n_output_pg(state: DensityMatrix, n: int,
-                               budget: OptimizerBudget | None = None) -> float:
-    """Best n-output guessing probability measuring opposite a classical flag.
-
-    The prepared flag ensemble is classical, so for a given POVM the payoff is
-    max_i Tr[B0 P_i] + max_j Tr[B1 P_j] (unnormalized blocks). Only the two
-    winning effects matter: any remainder R = 1 - P - Q splits into n - 2
-    equal equiprobable effects R/(n-2), so the search reduces to a pair
-    0 <= P, Q with P + Q <= 1 and Tr[(B0+B1) P] = Tr[(B0+B1) Q] = 1/n.
-    Coordinate ascent alternates two exactly solvable linear steps.
-    """
-    budget = budget or OptimizerBudget()
-    b0, b1, _, _ = _flag_blocks(state)
-    d = b0.shape[0]
-    b0 = 0.5 * (b0 + b0.conj().T)
-    b1 = 0.5 * (b1 + b1.conj().T)
-    tot = b0 + b1
-    eye = np.eye(d)
-    beta = 1.0 / n
-    rng = np.random.default_rng(budget.rng_seed)
-
-    def ascend(p_eff: np.ndarray) -> float:
-        best = -np.inf
-        for _ in range(40):
-            q_eff = _boxed_linear_opt(b1, tot, eye - p_eff, beta)
-            p_eff = _boxed_linear_opt(b0, tot, eye - q_eff, beta)
-            val = float(np.trace(b0 @ p_eff).real + np.trace(b1 @ q_eff).real)
-            if val <= best + 1e-14:
-                return max(best, val)
-            best = val
-        return best
-
-    starts = [_capped_linear_opt(b0, tot, beta)]
-    for _ in range(2):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        starts.append(_capped_linear_opt(0.5 * (g + g.conj().T), tot, beta))
-
-    # the same-winner degenerate assignment is worth exactly 1/n
-    return max(max(ascend(p0) for p0 in starts), 1.0 / n)
-
-
 def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
                     budget: OptimizerBudget | None = None) -> float:
     """Best n-output guessing probability by a seesaw between the two sides.
@@ -914,12 +870,21 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     The reported value is the maximal guessing probability minus the baseline
     1/2 for every output count, so adding outcomes can only help via genuinely
     better discrimination, not via a changed yardstick.
+
+    Side A is the first factor and side B the rest. Each n >= 3 term is the
+    seesaw _n_output_me_pg, skipped where a bound shows it cannot set the
+    maximum (the proofs are at each rule):
+    - measuring a uniform classical flag (flag-diagonal state, p0 = 1/2):
+      the term is at most CA2 - 1/6;
+    - measuring opposite a classical flag (flag-diagonal state, any p0): at
+      most CB2 - (1/2 - 1/n) <= CB2 - 1/6;
+    - measuring opposite a far side of dimension d_far with 2 d_far <= n: at
+      most d_far/n - 1/2 <= 0 <= C2.
     """
     if max_outputs < 2 or max_outputs > 4:
         raise DimensionMismatchError("max_outputs must be between 2 and 4")
     a_factors = (0,)
     best = correlation_C2(state, a_factors, budget)
-    b_factors = tuple(range(1, len(state.dims)))
     flaggy = _is_flag_diagonal(state)
     # Measuring a uniform classical flag (p0 = 1/2) with n >= 3 outputs never
     # beats CA2, so that term is skipped. With D = B0 - B1 (Tr D = 0 and
@@ -931,14 +896,27 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     # first Fibonacci point alone has v_z = 63/64: CA2 >= 63 T/128 > T/3. Hence
     # (1 + T)/n - 1/2 <= T/2 - (1 + T)/6 = T/3 - 1/6 lies at least 1/6 below CA2.
     uniform_flag = flaggy and max(abs(p - 0.5) for p in _flag_blocks(state)[2:]) < 1e-9
+    searched = [] if uniform_flag else [(a_factors, state.dim // state.dims[0])]
+    # Measuring side B opposite a classical flag with n >= 3 outputs never
+    # beats CB2, whatever the flag marginal, so that term is skipped. The flag
+    # is classical, so a POVM on B guesses max_i Tr(B0 P_i) + max_j Tr(B1 P_j)
+    # (unnormalized blocks, T = B0 + B1, Tr(T P_i) = 1/n). One effect winning
+    # both flag values is worth Tr(T P_i) = 1/n < 1/2. Two winners P, Q have
+    # P + Q <= 1 and pay V = Tr(B0 P) + Tr(B1 Q). Then P' = (1 + P - Q)/2 has
+    # 0 <= P' <= 1 and Tr(T P') = 1/2, so it is a two-output equiprobable
+    # effect, and by Tr(T P) = Tr(T Q) = 1/n it scores
+    # Tr(B0 P') + Tr(B1 (1 - P')) = V + 1/2 - 1/n. Hence
+    # V - 1/2 <= CB2 - (1/2 - 1/n), at least 1/6 below CB2.
+    if not flaggy:
+        searched.append((tuple(range(1, len(state.dims))), state.dims[0]))
     for n in range(3, max_outputs + 1):
-        if not uniform_flag:
-            best = max(best, _n_output_me_pg(state, a_factors, n, budget) - 0.5)
-        if flaggy:
-            opposite = _flag_opposite_n_output_pg(state, n, budget)
-        else:
-            opposite = _n_output_me_pg(state, b_factors, n, budget)
-        best = max(best, opposite - 0.5)
+        for measured, d_far in searched:
+            # Each outcome has probability 1/n, so the far side guesses at most
+            # sum_i (1/n) Tr(rho_far|i E_i) <= (1/n) sum_i Tr E_i = d_far/n. With
+            # 2 d_far <= n the term is at most 0 <= C2 and is skipped; for
+            # n <= 4 that is n = 4 against a qubit far side.
+            if 2 * d_far > n:
+                best = max(best, _n_output_me_pg(state, measured, n, budget) - 0.5)
     return best
 
 

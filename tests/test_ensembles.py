@@ -346,6 +346,7 @@ class TestBruteforceDiscrimination:
     def test_trine(self):
         res = guessing_probability_bruteforce(trine_ensemble(), SMALL_BUDGET)
         assert res.value == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert res.converged
 
     def test_zero_plus_ensemble(self):
         ens = StateEnsemble(members=(
@@ -393,11 +394,6 @@ class TestBruteforceDiscrimination:
         a = guessing_probability_bruteforce(ens, SMALL_BUDGET)
         b = guessing_probability_bruteforce(ens, SMALL_BUDGET)
         assert a.value == b.value
-
-    def test_result_casts_to_float(self):
-        res = guessing_probability_bruteforce(trine_ensemble(), SMALL_BUDGET)
-        assert float(res) == res.value
-        assert res.converged
 
 
 class TestCorrelationTwoOutputs:
@@ -643,6 +639,110 @@ class TestCorrelationGeneral:
             pg = guessing_probability_bruteforce(measure_on_subsystem(probe, vertex, 0)).value
             assert bound - 1e-6 <= pg <= bound + 1e-12
             assert bound - 0.5 <= correlation_CA2(probe) - 1.0 / 6.0 + 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p0", [0.5, 0.7])
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2)], ids=["qubit", "qutrit", "two-qubit"])
+    def test_flag_opposite_term_below_cb2(self, dims, p0, n):
+        """The bound that lets C_general skip measuring opposite a classical flag.
+
+        The two winning effects P, Q of an n-output measurement fold into the
+        two-output equiprobable effect (1 + P - Q)/2, which scores their payoff
+        plus 1/2 - 1/n, so the n-output search stays at or below CB2 + 1/n.
+        """
+        d = int(np.prod(dims))
+        b_factors = tuple(range(1, len(dims) + 1))
+        for seed in range(2):
+            rng = np.random.default_rng(50 + 10 * d + seed)
+            rho_a = as_matrix(random_density_matrix(rng, d))
+            rho_b = as_matrix(random_density_matrix(rng, d))
+            probe = flag_state(rho_a, rho_b, dims, p=p0)
+            pg = ensembles._n_output_me_pg(probe, b_factors, n, SMALL_BUDGET)
+            assert pg <= correlation_CB2(probe, budget=SMALL_BUDGET) + 1.0 / n + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p0", [0.5, 0.7])
+    def test_two_winners_fold_into_two_output_effect(self, p0, n):
+        """P' = (1 + P - Q)/2 is a two-output equiprobable effect worth V + 1/2 - 1/n.
+
+        For any 0 <= P, Q with P + Q <= 1 and Tr(T P) = Tr(T Q) = 1/n, where
+        T = B0 + B1, the pair pays V = Tr(B0 P) + Tr(B1 Q). The pairs here are
+        midpoints of two one-multiplier optima for P, and a boxed optimum for Q
+        under 1 - P.
+        """
+        rng = np.random.default_rng(60 + n)
+        d = 3
+        eye = np.eye(d)
+        rho_a = as_matrix(random_density_matrix(rng, d))
+        rho_b = as_matrix(random_density_matrix(rng, d))
+        b0, b1 = p0 * rho_a, (1.0 - p0) * rho_b
+        tot = b0 + b1
+        cb2 = correlation_CB2(flag_state(rho_a, rho_b, (d,), p=p0))
+
+        def hermitian() -> np.ndarray:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return g + g.conj().T
+
+        def tr(a: np.ndarray, b: np.ndarray) -> float:
+            return float(np.trace(a @ b).real)
+
+        for _ in range(5):
+            p = 0.5 * sum(ensembles._capped_linear_opt(hermitian(), tot, 1.0 / n) for _ in range(2))
+            q = ensembles._boxed_linear_opt(hermitian(), tot, eye - p, 1.0 / n)
+            for eff in (p, q, eye - p - q):
+                assert np.linalg.eigvalsh(eff)[0] >= -1e-10
+            assert tr(tot, p) == pytest.approx(1.0 / n, abs=1e-12)
+            assert tr(tot, q) == pytest.approx(1.0 / n, abs=1e-12)
+            folded = 0.5 * (eye + p - q)
+            w = np.linalg.eigvalsh(folded)
+            assert -1e-12 <= w[0] and w[-1] <= 1.0 + 1e-12
+            assert tr(tot, folded) == pytest.approx(0.5, abs=1e-12)
+            payoff = tr(b0, p) + tr(b1, q)
+            score = tr(b0, folded) + tr(b1, eye - folded)
+            assert score == pytest.approx(payoff + 0.5 - 1.0 / n, abs=1e-12)
+            assert score - 0.5 <= cb2 + 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_uniform_flag_runs_no_n_output_search(self, dim, monkeypatch):
+        # a uniform flag skips both sides, so C_general(4) is C2 bit for bit
+        def refuse(*args, **kwargs):
+            raise AssertionError("C_general ran an n-output search")
+
+        rng = np.random.default_rng(70 + dim)
+        rho_a = as_matrix(random_density_matrix(rng, dim))
+        rho_b = as_matrix(random_density_matrix(rng, dim))
+        probe = flag_state(rho_a, rho_b, (dim,))
+        monkeypatch.setattr(ensembles, "_n_output_me_pg", refuse)
+        c4 = correlation_C_general(probe, max_outputs=4, budget=SMALL_BUDGET)
+        assert c4 == correlation_C2(probe, budget=SMALL_BUDGET)
+
+    @pytest.mark.parametrize("dims, searched, skipped", [
+        ((2, 2), [(0,), (1,)], [(0,), (1,)]),
+        ((2, 3), [(0,), (1,), (0,)], [(1,)]),
+        ((2, 2, 2), [(0,), (1, 2), (0,)], [(1, 2)]),
+    ], ids=["2x2", "2x3", "2x2x2"])
+    def test_qubit_far_side_skips_four_outputs(self, dims, searched, skipped, monkeypatch):
+        """A far side of dimension d_far guesses at most d_far/n.
+
+        With 2 d_far <= n the term is at most 0 <= C2, so C_general skips it:
+        n = 4 opposite a qubit. Adding the skipped term back changes nothing.
+        """
+        rng = np.random.default_rng(80 + len(dims))
+        state = DensityMatrix(as_matrix(random_density_matrix(rng, int(np.prod(dims)))), dims)
+        measured = []
+        search = ensembles._n_output_me_pg
+
+        def recorder(state, sides, n, budget=None):
+            measured.append(tuple(sides))
+            return search(state, sides, n, budget)
+
+        monkeypatch.setattr(ensembles, "_n_output_me_pg", recorder)
+        c4 = correlation_C_general(state, max_outputs=4, budget=SMALL_BUDGET)
+        assert measured == searched
+        for side in skipped:
+            pg = search(state, side, 4, SMALL_BUDGET)
+            assert pg <= 0.5 + 1e-12
+            assert max(c4, pg - 0.5) == c4
 
 
 def _correlated_classical_state() -> DensityMatrix:
