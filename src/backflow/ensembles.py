@@ -495,7 +495,9 @@ def minimize(*args, **kwargs):
 
     No search in the package calls it or minimize_scalar. Both stay because
     perfbench/tracer.py looks `ensembles.minimize` and
-    `ensembles.minimize_scalar` up by name, and fails without them.
+    `ensembles.minimize_scalar` up by name, and fails without them. They are
+    the only scipy imports left in the package, and scipy is no runtime
+    dependency: it comes with the test extra.
     """
     from scipy.optimize import minimize as scipy_minimize
 

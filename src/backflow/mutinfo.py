@@ -292,17 +292,26 @@ def _eigvec_diagonals(u: np.ndarray, entries) -> np.ndarray:
     Sums only the non-zero entries (a, b) of e, left to right in row-major
     order; each term is Re(conj(u_ak) e_ab u_bk), i.e. the scale times
     ur_a ur_b + ui_a ui_b for a real entry or ui_a ur_b - ur_a ui_b for an
-    imaginary one. Temporaries stay at (n, k).
+    imaginary one. A Hermitian e has its entries in pairs (a, b), (b, a),
+    so each operator forms the product once for a <= b: swapping a and b
+    leaves the real form unchanged and negates the imaginary one exactly,
+    so the sign moves into the scale. Products are not kept across
+    operators, so temporaries stay at a few (n, k) arrays.
     """
     # (d, n, k): component a of every eigenvector is one contiguous block
     ur = np.ascontiguousarray(u.real.transpose(1, 0, 2))
     ui = np.ascontiguousarray(u.imag.transpose(1, 0, 2))
     out = np.empty((u.shape[0], len(entries), u.shape[-1]))
     for j, (rows, cols, scales, imag) in enumerate(entries):
+        products: dict[tuple, np.ndarray] = {}
         acc = None
         for a, b, scale in zip(rows, cols, scales):
-            term = ui[a] * ur[b] - ur[a] * ui[b] if imag else ur[a] * ur[b] + ui[a] * ui[b]
-            term *= scale
+            lo, hi = min(a, b), max(a, b)
+            if (lo, hi) not in products:
+                products[lo, hi] = (
+                    ui[lo] * ur[hi] - ur[lo] * ui[hi] if imag else ur[lo] * ur[hi] + ui[lo] * ui[hi]
+                )
+            term = products[lo, hi] * (-scale if imag and a > b else scale)
             acc = term if acc is None else acc + term
         out[:, j] = acc
     return out
@@ -460,16 +469,29 @@ def _mutual_information_hessian(a_12: float) -> np.ndarray:
     base_joint = 0.25 * np.eye(4, dtype=complex) + a_12 * _BASIS_STACK[12]
     res_joint = spectral_derivatives(base_joint, dirs, entropy, np.zeros(15))
 
-    # marginal families: Tr_S e_i = 2 sigma_a when s = 0, else zero (same for A)
+    # ancilla marginal: Tr_S e_i = 2 sigma_a when s = 0, else zero
     zero2 = np.zeros((2, 2), dtype=complex)
     dirs_a = [2.0 * PAULIS[i // 4] if i % 4 == 0 else zero2 for i in range(1, 16)]
-    dirs_s = [2.0 * PAULIS[i] if i < 4 else zero2 for i in range(1, 16)]
     base_a = 0.5 * np.eye(2, dtype=complex) + 2.0 * a_12 * PAULIS[3]
-    base_s = 0.5 * np.eye(2, dtype=complex)
     res_a = spectral_derivatives(base_a, dirs_a, entropy, np.zeros(15))
-    res_s = spectral_derivatives(base_s, dirs_s, entropy, np.zeros(15))
 
-    return res_a.hessian + res_s.hessian - res_joint.hessian
+    return res_a.hessian + _SYSTEM_MARGINAL_HESSIAN - res_joint.hessian
+
+
+def _system_marginal_hessian() -> np.ndarray:
+    """Entropy Hessian of the system marginal over a_1..a_15, read-only."""
+    # Tr_A e_i = 2 sigma_s when a = 0, else zero
+    zero2 = np.zeros((2, 2), dtype=complex)
+    dirs_s = [2.0 * PAULIS[i] if i < 4 else zero2 for i in range(1, 16)]
+    base_s = 0.5 * np.eye(2, dtype=complex)
+    hessian = spectral_derivatives(base_s, dirs_s, entropy_function(), np.zeros(15)).hessian
+    hessian.flags.writeable = False
+    return hessian
+
+
+# a_12 leaves the system marginal at 1/2, so one Hessian serves every call. It is
+# built at import, not on the first call, so that every call does the same work.
+_SYSTEM_MARGINAL_HESSIAN = _system_marginal_hessian()
 
 
 def hessian_at_stationary(rates: RateProfile, t: float, a_12: float) -> HessianReport:
@@ -661,14 +683,97 @@ def _sobol_points(samples: int, seed: int) -> np.ndarray:
     return points * 2.0**-_SOBOL_BITS
 
 
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions, 1989):
+# the central rational approximation in (y - 1/2)**2, and the tail one in
+# 1/x with x = sqrt(-2 ln y) < 8
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where the two branches meet
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (
+    -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+    1.39312609387279679503E1, -1.23916583867381258016E0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+    -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+    4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+    1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+)
+
+
+def _polevl(v: np.ndarray, coeffs) -> np.ndarray:
+    """Horner's rule from the leading coefficient, as Cephes polevl."""
+    acc = np.full_like(v, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _p1evl(v: np.ndarray, coeffs) -> np.ndarray:
+    """Horner's rule for a monic polynomial whose leading 1 is left out, as Cephes p1evl."""
+    acc = v + coeffs[0]
+    for c in coeffs[1:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """log(v) rounded as the C library's log, for v in (0, 1/2) or v >= 2.
+
+    np.log on float64 may take a SIMD path whose last bit differs from
+    libm's log. On complex input it calls the C library's clog, which on
+    glibc returns log(hypot(v, 0)) = log(v) for real v outside [1/2, 2).
+    The tests pin the result against scipy.
+    """
+    return np.log(v.astype(complex)).real
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF, bit for bit scipy.special.ndtri.
+
+    The caller clips p to [1e-12, 1 - 1e-12]. Only Cephes' central branch and
+    its tail branch for x = sqrt(-2 ln y) < 8 are ported: y >= 1e-12 keeps
+    x <= 7.44, so the branch beyond 8 is never reached. Every operation runs
+    in Cephes' order and both logarithms are libm's, so the rounding matches.
+    """
+    flipped = p > 1.0 - _EXP_M2
+    y = np.where(flipped, 1.0 - p, p)
+    tail = np.flatnonzero(y <= _EXP_M2)
+    # central branch over every entry; the tail entries are overwritten below
+    w = y - 0.5
+    w2 = w * w
+    out = w2 * _polevl(w2, _NDTRI_P0)
+    out /= _p1evl(w2, _NDTRI_Q0)
+    out *= w
+    out += w
+    out *= _SQRT_2PI
+    x = np.sqrt(-2.0 * _libm_log(y.take(tail)))   # y <= exp(-2), so x >= 2
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _NDTRI_P1)
+    x1 /= _p1evl(z, _NDTRI_Q1)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~flipped.take(tail))
+    out.put(tail, x0)
+    return out
+
+
 def _ball_points(center: np.ndarray, radius: float, samples: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random points in the 15-ball around center."""
-    from scipy.special import ndtri  # the scans alone need it; import on first use
-
     raw = _sobol_points(samples, seed)
     # first 15 dims give a direction through the Gaussian trick, the last the
     # radial fraction with the d-ball volume correction
-    gauss = ndtri(np.clip(raw[:, :15], 1e-12, 1.0 - 1e-12))
+    gauss = _ndtri(np.clip(raw[:, :15], 1e-12, 1.0 - 1e-12))
     lengths = np.linalg.norm(gauss, axis=1)
     lengths = np.where(lengths > 0, lengths, 1.0)
     radial = radius * raw[:, 15] ** (1.0 / 15.0)

@@ -284,7 +284,7 @@ def test_correlation_searches_load_no_scipy():
     assert scipy_modules_after(code) == []
 
 
-def test_mutinfo_scenario_loads_only_scipy_special(tmp_path):
+def test_mutinfo_scenario_loads_no_scipy(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "schema_version": 1,
@@ -300,7 +300,15 @@ def test_mutinfo_scenario_loads_only_scipy_special(tmp_path):
         "from backflow import cli\n"
         f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
     )
-    packages = {m.split(".")[1] for m in scipy_modules_after(code) if "." in m}
-    assert "special" in packages
-    assert packages.isdisjoint({"stats", "optimize"})
+    assert scipy_modules_after(code) == []
     assert (tmp_path / "mutinfo.csv").stat().st_size > 0
+
+
+def test_neighborhood_scan_loads_no_scipy():
+    code = (
+        "from backflow import eternal_rates, hessian_at_stationary, neighborhood_scan\n"
+        "report = neighborhood_scan(eternal_rates(), 1.0, 0.05, radius=0.01, samples=256)\n"
+        "assert report.n_valid == 256\n"
+        "assert hessian_at_stationary(eternal_rates(), 1.0, 0.05).matched\n"
+    )
+    assert scipy_modules_after(code) == []

@@ -588,6 +588,37 @@ def einsum_didt_batch(matrices, rates, t):
     return np.where(bad, np.nan, values)
 
 
+def per_entry_eigvec_diagonals(u, entries):
+    """Every entry's product formed afresh, summed in row-major order."""
+    ur = np.ascontiguousarray(u.real.transpose(1, 0, 2))
+    ui = np.ascontiguousarray(u.imag.transpose(1, 0, 2))
+    out = np.empty((u.shape[0], len(entries), u.shape[-1]))
+    for j, (rows, cols, scales, imag) in enumerate(entries):
+        acc = None
+        for a, b, scale in zip(rows, cols, scales):
+            term = ui[a] * ur[b] - ur[a] * ui[b] if imag else ur[a] * ur[b] + ui[a] * ui[b]
+            term *= scale
+            acc = term if acc is None else acc + term
+        out[:, j] = acc
+    return out
+
+
+def uncached_mutual_information_hessian(a_12):
+    """All three entropy Hessians recomputed, the system marginal's included."""
+    entropy = mi.entropy_function()
+    base_joint = 0.25 * np.eye(4, dtype=complex) + a_12 * mi._BASIS_STACK[12]
+    res_joint = mi.spectral_derivatives(base_joint, list(mi._BASIS_STACK[1:]), entropy,
+                                        np.zeros(15))
+    zero2 = np.zeros((2, 2), dtype=complex)
+    dirs_a = [2.0 * PAULIS[i // 4] if i % 4 == 0 else zero2 for i in range(1, 16)]
+    dirs_s = [2.0 * PAULIS[i] if i < 4 else zero2 for i in range(1, 16)]
+    base_a = 0.5 * np.eye(2, dtype=complex) + 2.0 * a_12 * PAULIS[3]
+    base_s = 0.5 * np.eye(2, dtype=complex)
+    res_a = mi.spectral_derivatives(base_a, dirs_a, entropy, np.zeros(15))
+    res_s = mi.spectral_derivatives(base_s, dirs_s, entropy, np.zeros(15))
+    return res_a.hessian + res_s.hessian - res_joint.hessian
+
+
 def einsum_states(pts):
     return 0.25 * np.eye(4, dtype=complex)[None] + np.einsum(
         "ni,iab->nab", pts, mi._BASIS_STACK[1:]
@@ -652,6 +683,21 @@ class TestBitExactKernel:
         want = einsum_didt_batch(einsum_states(pts), SHRINK_BURST, 1.2)
         assert_same_bits(mi.neighborhood_didt(*args, seed=6), want)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shared_products_match_per_entry_form(self, seed):
+        mats = einsum_states(scan_points(2000, 0.2, seed))
+        _, u = np.linalg.eigh(mats)
+        _, u_s = np.linalg.eigh(np.einsum("nasat->nst", mats.reshape(-1, 2, 2, 2, 2)))
+        for vecs, entries in ((u, mi._MOVING_ENTRIES), (u_s, mi._MARGINAL_ENTRIES)):
+            assert_same_bits(mi._eigvec_diagonals(vecs, entries),
+                             per_entry_eigvec_diagonals(vecs, entries))
+
+    def test_cached_marginal_hessian_matches_uncached_form(self):
+        for a12 in [0.0, 1e-5, -0.1, 0.2, 0.245]:
+            assert_same_bits(mi._mutual_information_hessian(a12),
+                             uncached_mutual_information_hessian(a12))
+        assert not mi._SYSTEM_MARGINAL_HESSIAN.flags.writeable
+
     def test_threads_match_serial_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(mi.os, "cpu_count", lambda: 2)  # split even on one core
         args = (constant_rates(1.0, 1.0, -3.0), 0.5, 0.1, 0.2, 4097)
@@ -674,7 +720,7 @@ def scipy_ball_points(center, radius, n, seed):
 
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol:UserWarning")
 class TestSobolDraw:
-    """The numpy Sobol draw against scipy.stats, which only these tests import."""
+    """The numpy Sobol draw and inverse normal CDF against scipy, which only tests import."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 3001, 4096])
     def test_matches_scipy_sobol(self, n):
@@ -692,6 +738,21 @@ class TestSobolDraw:
         for raw in [ends, *(mi._sobol_points(4096, seed)[:, :15] for seed in range(4))]:
             clipped = np.clip(raw, 1e-12, 1.0 - 1e-12)
             assert_same_bits(ndtri(clipped), norm.ppf(clipped))
+
+    def test_ndtri_matches_scipy_on_the_sobol_grid(self):
+        from scipy.special import ndtri
+
+        # the draw feeds only j * 2**-30 clipped to [1e-12, 1 - 1e-12]
+        edges = [int(e * 2**30) for e in (mi._EXP_M2, 1.0 - mi._EXP_M2)]
+        j = np.concatenate([
+            np.random.default_rng(15).integers(0, 2**30, 2**20),
+            np.arange(2**16),
+            np.arange(2**30 - 2**16, 2**30),
+            *(np.arange(e - 2**16, e + 2**16) for e in edges),
+        ])
+        grid = np.clip(j * 2.0**-30, 1e-12, 1.0 - 1e-12)
+        for p in (grid, np.array([1e-12, 1.0 - 1e-12])):
+            assert_same_bits(mi._ndtri(p), ndtri(p))
 
     @pytest.mark.parametrize("radius", [0.0, 1e-2, 0.2])
     def test_ball_points_match_scipy_path(self, radius):
