@@ -7,168 +7,70 @@ probe construction that witnesses trace-norm backflow (`probe`), mutual
 information derivatives at the stationary state (`mutinfo`), entanglement
 negativity and the blindness scenario (`entwit`), and the scenario CLI
 (`cli`).
+
+`import backflow` loads none of them. Each name in `__all__` is looked up
+in its home module on first use (PEP 562), so `from backflow import name`
+and `backflow.name` import only that module and what it needs, and
+`backflow.<submodule>` works without importing it first. The package keeps
+no copy of the names it hands out: every access returns the home module's
+current binding.
 """
 
 from __future__ import annotations
 
-from .channels import (
-    DivisibilityVerdict,
-    ExtendedChannel,
-    GkslGenerator,
-    PauliChannelMap,
-    RateProfile,
-    choi_eigenvalues,
-    choi_matrix,
-    choi_min_eigenvalue,
-    classify_interval,
-    compose,
-    constant_rates,
-    decay_factors,
-    eternal_rates,
-    gksl_apply,
-    intermediate_map,
-    invert_channel,
-    is_cp,
-    is_cp_divisible_at,
-    is_p_divisible_at,
-    load_rate_table_csv,
-    table_rates,
-    tune_rates_shrink_image,
-)
-from .ensembles import (
-    EnsembleMember,
-    OptimizerBudget,
-    Povm,
-    StateEnsemble,
-    apply_local_channel,
-    construct_me_povm,
-    correlation_C2,
-    correlation_C_general,
-    correlation_CA2,
-    correlation_CB2,
-    guessing_probability_bruteforce,
-    guessing_probability_two,
-    is_me_povm,
-    measure_on_subsystem,
-    random_local_cptp,
-)
-from .entwit import (
-    EntanglementBlindReport,
-    is_entanglement_breaking,
-    negativity,
-    scenario_entanglement_blind,
-)
-from .linalg import (
-    DensityMatrix,
-    max_entangled_state,
-    maximally_mixed,
-    partial_trace,
-    partial_transpose,
-    pure_state,
-    random_density_matrix,
-    tensor_product,
-    trace_distance,
-    trace_norm,
-    von_neumann_entropy,
-)
-from .mutinfo import (
-    HessianReport,
-    NeighborhoodScanReport,
-    closed_form_hessian_eigenvalues,
-    didt,
-    didt_finite_difference,
-    hessian_at_stationary,
-    mutual_information,
-    neighborhood_scan,
-    spectral_derivatives,
-    stationary_state,
-    zero_eigenspace_didt,
-)
-from .probe import (
-    BackflowReport,
-    ProbePair,
-    ProbeState,
-    build_probe_state,
-    detect_backflow,
-    evolve_probe,
-    pull_back_pair,
-    scan_backflow_grid,
-    trace_norm_expansion_direction,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackflowReport",
-    "DensityMatrix",
-    "DivisibilityVerdict",
-    "EnsembleMember",
-    "EntanglementBlindReport",
-    "ExtendedChannel",
-    "GkslGenerator",
-    "HessianReport",
-    "NeighborhoodScanReport",
-    "OptimizerBudget",
-    "PauliChannelMap",
-    "Povm",
-    "ProbePair",
-    "ProbeState",
-    "RateProfile",
-    "StateEnsemble",
-    "apply_local_channel",
-    "build_probe_state",
-    "choi_eigenvalues",
-    "choi_matrix",
-    "choi_min_eigenvalue",
-    "classify_interval",
-    "closed_form_hessian_eigenvalues",
-    "compose",
-    "constant_rates",
-    "construct_me_povm",
-    "correlation_C2",
-    "correlation_CA2",
-    "correlation_CB2",
-    "correlation_C_general",
-    "decay_factors",
-    "detect_backflow",
-    "didt",
-    "didt_finite_difference",
-    "eternal_rates",
-    "evolve_probe",
-    "gksl_apply",
-    "guessing_probability_bruteforce",
-    "guessing_probability_two",
-    "hessian_at_stationary",
-    "intermediate_map",
-    "invert_channel",
-    "is_cp",
-    "is_cp_divisible_at",
-    "is_entanglement_breaking",
-    "is_me_povm",
-    "is_p_divisible_at",
-    "load_rate_table_csv",
-    "max_entangled_state",
-    "maximally_mixed",
-    "measure_on_subsystem",
-    "mutual_information",
-    "negativity",
-    "neighborhood_scan",
-    "partial_trace",
-    "partial_transpose",
-    "pull_back_pair",
-    "pure_state",
-    "random_density_matrix",
-    "random_local_cptp",
-    "scan_backflow_grid",
-    "scenario_entanglement_blind",
-    "spectral_derivatives",
-    "stationary_state",
-    "table_rates",
-    "tensor_product",
-    "trace_distance",
-    "trace_norm",
-    "trace_norm_expansion_direction",
-    "tune_rates_shrink_image",
-    "von_neumann_entropy",
-    "zero_eigenspace_didt",
-]
+_EXPORTS = {
+    "channels": (
+        "DivisibilityVerdict", "ExtendedChannel", "GkslGenerator", "PauliChannelMap",
+        "RateProfile", "choi_eigenvalues", "choi_matrix", "choi_min_eigenvalue",
+        "classify_interval", "compose", "constant_rates", "decay_factors", "eternal_rates",
+        "gksl_apply", "intermediate_map", "invert_channel", "is_cp", "is_cp_divisible_at",
+        "is_p_divisible_at", "load_rate_table_csv", "table_rates", "tune_rates_shrink_image",
+    ),
+    "ensembles": (
+        "EnsembleMember", "OptimizerBudget", "Povm", "StateEnsemble", "apply_local_channel",
+        "construct_me_povm", "correlation_C2", "correlation_C_general", "correlation_CA2",
+        "correlation_CB2", "guessing_probability_bruteforce", "guessing_probability_two",
+        "is_me_povm", "measure_on_subsystem", "random_local_cptp",
+    ),
+    "entwit": (
+        "EntanglementBlindReport", "is_entanglement_breaking", "negativity",
+        "scenario_entanglement_blind",
+    ),
+    "linalg": (
+        "DensityMatrix", "max_entangled_state", "maximally_mixed", "partial_trace",
+        "partial_transpose", "pure_state", "random_density_matrix", "tensor_product",
+        "trace_distance", "trace_norm", "von_neumann_entropy",
+    ),
+    "mutinfo": (
+        "HessianReport", "NeighborhoodScanReport", "closed_form_hessian_eigenvalues", "didt",
+        "didt_finite_difference", "hessian_at_stationary", "mutual_information",
+        "neighborhood_scan", "spectral_derivatives", "stationary_state",
+        "zero_eigenspace_didt",
+    ),
+    "probe": (
+        "BackflowReport", "ProbePair", "ProbeState", "build_probe_state", "detect_backflow",
+        "evolve_probe", "pull_back_pair", "scan_backflow_grid",
+        "trace_norm_expansion_direction",
+    ),
+}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "errors"})
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # nothing is cached here: a later patch of the home module stays visible
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteError,
     TimeOrderViolationError,
 )
-from .linalg import PAULIS, DensityMatrix, as_matrix, max_entangled_state
+from .linalg import PAULIS, PHI_PLUS, DensityMatrix, as_matrix
 
 _TIME_SLACK = 1e-12
 # a rate or pair sum this far below zero still counts as non-negative
@@ -313,13 +313,9 @@ class ExtendedChannel:
         )
 
 
-_PHI_PLUS = max_entangled_state(2).matrix
-_PHI_PLUS.setflags(write=False)
-
-
 def choi_matrix(ch: PauliChannelMap) -> np.ndarray:
     """(id (x) map) applied to |Phi+><Phi+|; normalized to trace 1."""
-    return ExtendedChannel(ch, (2,)).apply(_PHI_PLUS)
+    return ExtendedChannel(ch, (2,)).apply(PHI_PLUS)
 
 
 def choi_eigenvalues(ch: PauliChannelMap) -> np.ndarray:

@@ -4,7 +4,9 @@ Configs are JSON with a schema_version field; results land in CSV files
 whose headers and float formatting are frozen so that identical config
 and seed reproduce identical bytes.  Exit codes: 0 success, 1 config or
 validation error, 2 numerical failure, 3 consistency violation (the
-scientifically interesting one).
+scientifically interesting one).  Each runner imports the pipeline its
+scenario runs, so a run loads no `probe`, `mutinfo` or `entwit` it does
+not use.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .channels import (
     tune_rates_shrink_image,
 )
 from .ensembles import OptimizerBudget, construct_me_povm
-from .entwit import scenario_entanglement_blind
 from .errors import (
     BackflowError,
     ConfigError,
@@ -41,8 +42,6 @@ from .errors import (
     ScaleUnderflowError,
 )
 from .linalg import random_density_matrix
-from .mutinfo import hessian_at_stationary, neighborhood_didt
-from .probe import detect_backflow
 
 SCHEMA_VERSION = 1
 SCENARIOS = (
@@ -335,6 +334,8 @@ def _run_divisibility(config: ScenarioConfig, threads: int | None):
 
 
 def _run_backflow(config: ScenarioConfig, threads: int | None):
+    from .probe import detect_backflow
+
     grid = _grid(config)
     reports = [
         detect_backflow(
@@ -357,6 +358,8 @@ def _run_backflow(config: ScenarioConfig, threads: int | None):
 
 
 def _run_hessian(config: ScenarioConfig, threads: int | None):
+    from .mutinfo import hessian_at_stationary
+
     rows = []
     ok = True
     for a12 in HESSIAN_A12_VALUES:
@@ -376,6 +379,8 @@ def _run_hessian(config: ScenarioConfig, threads: int | None):
 
 
 def _run_mutinfo(config: ScenarioConfig, threads: int | None):
+    from .mutinfo import neighborhood_didt
+
     tol = config.tolerances["didt"]
     rows = []
     violated = False
@@ -399,6 +404,8 @@ def _run_mutinfo(config: ScenarioConfig, threads: int | None):
 
 
 def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
+    from .entwit import scenario_entanglement_blind
+
     grid = _grid(config)
     report = scenario_entanglement_blind(
         config.prelude,

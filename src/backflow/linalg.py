@@ -129,6 +129,10 @@ def max_entangled_state(local_dim: int = 2) -> DensityMatrix:
     return pure_state(v, (local_dim, local_dim))
 
 
+PHI_PLUS = max_entangled_state(2).matrix  # |Phi+><Phi+| on two qubits
+PHI_PLUS.setflags(write=False)
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Ginibre-induced random state of full rank."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -15,6 +15,7 @@ expansion ratio is one plus the negative part of the Choi spectrum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,12 +41,7 @@ from .errors import (
     ScaleUnderflowError,
     TimeOrderViolationError,
 )
-from .linalg import (
-    DensityMatrix,
-    max_entangled_state,
-    maximally_mixed,
-    trace_norm,
-)
+from .linalg import PHI_PLUS, DensityMatrix, maximally_mixed, trace_norm
 
 BACKFLOW_TOL = 1e-9
 CROSSCHECK_TOL = 1e-6
@@ -114,43 +110,47 @@ def _traceless(mat: np.ndarray) -> np.ndarray:
     return mat - shift[..., None, None] * np.eye(n, dtype=complex)
 
 
-def _block_seed(chi_proj: np.ndarray | None = None) -> np.ndarray:
-    """(Phi+ (+) -I/2)/2 on (A' = qutrit)(x)S; expands by the Choi negativity."""
+def _block_seed(top: np.ndarray) -> np.ndarray:
+    """(top (+) -I/2)/2 on (A' = qutrit)(x)S; top = Phi+ expands by the Choi negativity."""
     seed = np.zeros((6, 6), dtype=complex)
-    top = chi_proj if chi_proj is not None else max_entangled_state(2).matrix
     seed[:4, :4] = 0.5 * top
     seed[4:, 4:] = -0.25 * np.eye(2, dtype=complex)
     return seed
 
 
-def _seeds(ch: PauliChannelMap, ancilla_dim: int) -> np.ndarray:
-    """The seven starting directions, as a (7, d, d) stack in a fixed order."""
+@functools.cache  # the seeds that do not depend on the channel, built once per ancilla
+def _fixed_seeds(ancilla_dim: int) -> np.ndarray:
+    """_seeds with its channel-dependent slots (1 and 2 for a qubit A', 1 for a qutrit) zero."""
     dim = 2 * ancilla_dim
-    phi = max_entangled_state(2).matrix
-    chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
-    chi_proj = np.outer(chi, chi.conj())
-    tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # Tr_A' |chi><chi|
-
+    seeds = np.zeros((7, dim, dim), dtype=complex)
     eye = np.eye(dim, dtype=complex)
     if ancilla_dim == 2:
-        seeds = [
-            phi - eye / 4.0,
-            phi - 0.5 * np.kron(np.eye(2, dtype=complex), tau_local),
-            chi_proj - eye / 4.0,
-        ]
+        seeds[0] = PHI_PLUS - eye / 4.0
     else:
         embed = np.zeros((6, 6), dtype=complex)
-        embed[:4, :4] = phi
-        seeds = [
-            _block_seed(),
-            _block_seed(chi_proj),
-            embed - eye / 6.0,
-        ]
+        embed[:4, :4] = PHI_PLUS
+        seeds[0] = _block_seed(PHI_PLUS)
+        seeds[2] = embed - eye / 6.0
     rng = np.random.default_rng(20240917)
-    for _ in range(4):
+    for k in range(3, 7):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        seeds.append(_traceless(0.5 * (g + g.conj().T)))
-    return np.stack(seeds)
+        seeds[k] = _traceless(0.5 * (g + g.conj().T))
+    seeds.flags.writeable = False
+    return seeds
+
+
+def _seeds(ch: PauliChannelMap, ancilla_dim: int) -> np.ndarray:
+    """The seven starting directions, as a (7, d, d) stack in a fixed order."""
+    chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
+    chi_proj = np.outer(chi, chi.conj())
+    seeds = _fixed_seeds(ancilla_dim).copy()
+    if ancilla_dim == 2:
+        tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # Tr_A' |chi><chi|
+        seeds[1] = PHI_PLUS - 0.5 * np.kron(np.eye(2, dtype=complex), tau_local)
+        seeds[2] = chi_proj - np.eye(4, dtype=complex) / 4.0
+    else:
+        seeds[1] = _block_seed(chi_proj)
+    return seeds
 
 
 def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) -> np.ndarray:
@@ -305,6 +305,7 @@ def detect_backflow(
     intermediate map, evaluates the two-output correlation at both ends with
     the closed form and the generic optimizer (cross-checked to 1e-6), and
     compares the verdict with the Choi spectrum of the intermediate map.
+    Both values scale with epsilon, so backflow means a relative gain above 1e-9.
     epsilon, the probe pair's trace distance, must lie in (0, 1].
     """
     _check_epsilon(epsilon)
@@ -341,7 +342,7 @@ def detect_backflow(
         if abs(got - want) > CROSSCHECK_TOL:
             crosscheck_ok = False
 
-    backflow = c2_closed_after > c2_closed_before + BACKFLOW_TOL
+    backflow = c2_closed_after > c2_closed_before * (1.0 + BACKFLOW_TOL)
     return BackflowReport(
         tau=float(tau),
         delta_t=float(delta_t),

@@ -298,6 +298,18 @@ class TestScenarioRuns:
         assert len(rows) == 4
         assert all(r.split(",")[-1] == "true" for r in rows)
 
+    @pytest.mark.parametrize("epsilon", [1e-7, 1e-12])
+    def test_backflow_verdicts_do_not_depend_on_epsilon_scale(self, tmp_path, epsilon):
+        def columns(cfg):
+            assert run_cli(tmp_path, cfg) == EXIT_OK
+            rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+            return [r.split(",")[-2:] for r in rows]
+
+        cfg = base_config("backflow")
+        want = columns(cfg)
+        cfg["epsilon"] = epsilon
+        assert columns(cfg) == want
+
     def test_hessian_rows_and_errors(self, tmp_path):
         cfg = base_config("hessian-verify")
         assert run_cli(tmp_path, cfg) == EXIT_OK

@@ -1,15 +1,18 @@
 """Code hygiene: no private cross-module imports, dead imports, helpers, knobs or
-parameters, and no scipy import on the way to `import backflow`."""
+parameters, no scipy import on the way to `import backflow`, and a lazy package:
+`import backflow` loads no submodule and each CLI scenario only the modules it runs."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import backflow
 from backflow import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backflow"
@@ -192,10 +195,11 @@ def test_every_parameter_is_read():
     assert offenders == {}
 
 
-def import_time_scipy(source: str) -> list[tuple[int, str]]:
-    """(line, module) of each scipy import that runs when the module is imported.
+def import_time_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import that runs when the module is imported.
 
-    Imports inside function bodies run on first call and are not reported.
+    Relative imports keep their dots (`.probe`). Imports inside function
+    bodies run on first call and are not reported.
     """
     found = []
 
@@ -204,15 +208,18 @@ def import_time_scipy(source: str) -> list[tuple[int, str]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(node, ast.Import):
-                found.extend((node.lineno, a.name) for a in node.names
-                             if a.name.split(".")[0] == "scipy")
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if (node.module or "").split(".")[0] == "scipy":
-                    found.append((node.lineno, node.module))
+                found.extend((node.lineno, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found.append((node.lineno, "." * node.level + (node.module or "")))
             visit(ast.iter_child_nodes(node))
 
     visit(ast.parse(source).body)
     return found
+
+
+def import_time_scipy(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each scipy import that runs when the module is imported."""
+    return [(line, m) for line, m in import_time_imports(source) if m.split(".")[0] == "scipy"]
 
 
 def test_guard_sees_module_level_scipy_import():
@@ -238,11 +245,11 @@ def test_no_module_imports_scipy_at_import_time():
     assert offenders == {}
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """scipy modules a fresh interpreter has loaded after running code."""
+def modules_after(code: str, *roots: str) -> list[str]:
+    """Modules under the given top-level packages a fresh interpreter has loaded after code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
-    report = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    report = f"\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots})))"
     done = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + report],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -250,7 +257,7 @@ def scipy_modules_after(code: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after("import backflow\nimport backflow.cli") == []
+    assert modules_after("import backflow\nimport backflow.cli", "scipy") == []
 
 
 def test_scipy_free_scenario_loads_no_scipy(tmp_path):
@@ -267,7 +274,7 @@ def test_scipy_free_scenario_loads_no_scipy(tmp_path):
         "from backflow import cli\n"
         f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
     )
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
     assert (tmp_path / "hessian.csv").stat().st_size > 0
 
 
@@ -281,7 +288,7 @@ def test_correlation_searches_load_no_scipy():
         "rho = random_density_matrix(np.random.default_rng(5), 4).matrix\n"
         "correlation_C_general(DensityMatrix(rho, (2, 2)), 4, OptimizerBudget(polish_maxfev=5))\n"
     )
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_mutinfo_scenario_loads_no_scipy(tmp_path):
@@ -300,7 +307,7 @@ def test_mutinfo_scenario_loads_no_scipy(tmp_path):
         "from backflow import cli\n"
         f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
     )
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
     assert (tmp_path / "mutinfo.csv").stat().st_size > 0
 
 
@@ -311,4 +318,136 @@ def test_neighborhood_scan_loads_no_scipy():
         "assert report.n_valid == 256\n"
         "assert hessian_at_stationary(eternal_rates(), 1.0, 0.05).matched\n"
     )
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
+
+
+# the 72 names the package exported when every submodule was imported eagerly
+PUBLIC_NAMES = frozenset("""
+    BackflowReport DensityMatrix DivisibilityVerdict EnsembleMember EntanglementBlindReport
+    ExtendedChannel GkslGenerator HessianReport NeighborhoodScanReport OptimizerBudget
+    PauliChannelMap Povm ProbePair ProbeState RateProfile StateEnsemble apply_local_channel
+    build_probe_state choi_eigenvalues choi_matrix choi_min_eigenvalue classify_interval
+    closed_form_hessian_eigenvalues compose constant_rates construct_me_povm correlation_C2
+    correlation_CA2 correlation_CB2 correlation_C_general decay_factors detect_backflow didt
+    didt_finite_difference eternal_rates evolve_probe gksl_apply
+    guessing_probability_bruteforce guessing_probability_two hessian_at_stationary
+    intermediate_map invert_channel is_cp is_cp_divisible_at is_entanglement_breaking
+    is_me_povm is_p_divisible_at load_rate_table_csv max_entangled_state maximally_mixed
+    measure_on_subsystem mutual_information negativity neighborhood_scan partial_trace
+    partial_transpose pull_back_pair pure_state random_density_matrix random_local_cptp
+    scan_backflow_grid scenario_entanglement_blind spectral_derivatives stationary_state
+    table_rates tensor_product trace_distance trace_norm trace_norm_expansion_direction
+    tune_rates_shrink_image von_neumann_entropy zero_eigenspace_didt
+""".split())
+SUBMODULES = ("channels", "cli", "ensembles", "entwit", "errors", "linalg", "mutinfo", "probe")
+
+
+def test_exports_are_the_home_modules_objects():
+    assert len(PUBLIC_NAMES) == 72
+    assert backflow.__all__ == sorted(PUBLIC_NAMES)
+    for name in backflow.__all__:
+        obj = getattr(backflow, name)
+        assert obj.__module__.startswith("backflow.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_dir_and_star_import_list_every_export():
+    listed = dir(backflow)
+    assert set(backflow.__all__) | set(SUBMODULES) | {"__version__"} <= set(listed)
+    assert listed == sorted(listed)
+    namespace: dict = {}
+    exec("from backflow import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == PUBLIC_NAMES
+    assert all(namespace[n] is getattr(backflow, n) for n in PUBLIC_NAMES)
+
+
+def test_unknown_name_raises_attribute_error():
+    try:
+        backflow.detect_backflows
+    except AttributeError as exc:
+        assert "detect_backflows" in str(exc)
+    else:
+        raise AssertionError("an unknown name resolved")
+
+
+def test_access_follows_the_home_binding(monkeypatch):
+    # a patch of the home module (as a tracer makes) shows through the
+    # package, and the package keeps no copy that could outlive it
+    probe = importlib.import_module("backflow.probe")
+    original = probe.detect_backflow
+    monkeypatch.setattr(probe, "detect_backflow", len)
+    assert backflow.detect_backflow is len
+    monkeypatch.undo()
+    assert backflow.detect_backflow is original
+    assert "detect_backflow" not in vars(backflow)
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    assert modules_after("import backflow", "backflow", "numpy") == ["backflow"]
+    # a submodule is reachable as an attribute without importing it first
+    code = (
+        "import backflow, types\n"
+        f"assert all(isinstance(getattr(backflow, m), types.ModuleType) for m in {SUBMODULES})\n"
+        "assert backflow.probe.detect_backflow is backflow.detect_backflow\n"
+    )
+    assert modules_after(code, "backflow") == sorted(
+        ["backflow", *(f"backflow.{m}" for m in SUBMODULES)])
+
+
+# modules each CLI scenario must not load: it runs none of their code
+SCENARIO_UNUSED = {
+    "divisibility-scan": {"probe", "mutinfo", "entwit"},
+    "me-povm-demo": {"probe", "mutinfo", "entwit"},
+    "hessian-verify": {"probe", "entwit"},
+    "mutinfo-map": {"probe", "entwit"},
+    "backflow": {"mutinfo", "entwit"},
+    "entanglement-blind": {"mutinfo"},
+}
+CLI_IMPORT_TIME = {".channels", ".ensembles", ".errors", ".linalg"}  # what load_config needs
+
+
+def cli_import_time_modules(source: str) -> list[str]:
+    """Package modules cli.py imports at import time beyond the config-time ones."""
+    relative = [m for _, m in import_time_imports(source) if m.startswith(".")]
+    return sorted(set(relative) - CLI_IMPORT_TIME)
+
+
+def test_guard_sees_scenario_import_put_back_in_cli():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    anchor = "from .linalg import random_density_matrix\n"
+    assert source.count(anchor) == 1
+    put_back = source.replace(anchor, anchor + "from .probe import detect_backflow\n")
+    assert cli_import_time_modules(put_back) == [".probe"]
+    assert cli_import_time_modules(
+        "from .channels import RateProfile\n"
+        "def _run(config):\n    from .mutinfo import didt\n    return didt\n"
+    ) == []
+
+
+def test_cli_imports_only_config_modules_at_import_time():
+    assert cli_import_time_modules((SRC / "cli.py").read_text(encoding="utf-8")) == []
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert [m for _, m in import_time_imports(init) if m.startswith(".")] == []
+
+
+def test_each_scenario_loads_only_its_modules(tmp_path):
+    for scenario, unused in SCENARIO_UNUSED.items():
+        # entanglement-blind certifies on a grid that starts before its switch time
+        t_start, t_end = (0.1, 2.5) if scenario == "entanglement-blind" else (0.5, 1.5)
+        config = tmp_path / f"{scenario}.json"
+        config.write_text(json.dumps({
+            "schema_version": 1,
+            "scenario": scenario,
+            "profile": {"preset": "eternal"},
+            "grid": {"t_start": t_start, "t_end": t_end, "steps": 3},
+            "budget": {"seeds": 16},
+            "epsilon": 0.016,
+            "output": f"{scenario}.csv",
+        }))
+        code = (
+            "from backflow import cli\n"
+            f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
+        )
+        loaded = {m.split(".", 1)[1] for m in modules_after(code, "backflow") if "." in m}
+        assert loaded & unused == set(), scenario
+        assert (tmp_path / f"{scenario}.csv").stat().st_size > 0

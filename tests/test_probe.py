@@ -39,6 +39,7 @@ from backflow.linalg import (
 )
 from backflow.probe import (
     ProbePair,
+    _seeds,
     build_probe_state,
     detect_backflow,
     evolve_probe,
@@ -123,6 +124,39 @@ def serial_expansion_search(ch: PauliChannelMap, ancilla_dim: int):
     return best_value, best_direction
 
 
+def per_call_seeds(ch: PauliChannelMap, ancilla_dim: int) -> np.ndarray:
+    """Oracle: the seven seeds built from scratch on every call, Phi+ and rng included."""
+    dim = 2 * ancilla_dim
+    phi = max_entangled_state(2).matrix
+    chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
+    chi_proj = np.outer(chi, chi.conj())
+    tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+
+    def block_seed(top):
+        seed = np.zeros((6, 6), dtype=complex)
+        seed[:4, :4] = 0.5 * top
+        seed[4:, 4:] = -0.25 * np.eye(2, dtype=complex)
+        return seed
+
+    eye = np.eye(dim, dtype=complex)
+    if ancilla_dim == 2:
+        seeds = [
+            phi - eye / 4.0,
+            phi - 0.5 * np.kron(np.eye(2, dtype=complex), tau_local),
+            chi_proj - eye / 4.0,
+        ]
+    else:
+        embed = np.zeros((6, 6), dtype=complex)
+        embed[:4, :4] = phi
+        seeds = [block_seed(phi), block_seed(chi_proj), embed - eye / 6.0]
+    rng = np.random.default_rng(20240917)
+    for _ in range(4):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        hermitian = 0.5 * (g + g.conj().T)
+        seeds.append(hermitian - (np.trace(hermitian) / dim) * eye)
+    return np.stack(seeds)
+
+
 def choi_negative_mass(ch: PauliChannelMap) -> float:
     w = np.linalg.eigvalsh(choi_matrix(ch))
     return float(-w[w < 0.0].sum())
@@ -200,6 +234,18 @@ class TestExpansionDirection:
         ch = intermediate_map(ETERNAL, 0.5, 1.0)
         with pytest.raises(DimensionMismatchError):
             trace_norm_expansion_direction(ch, ancilla_dim=4)
+
+    @pytest.mark.parametrize("ancilla_dim", [2, 3])
+    def test_cached_seeds_match_per_call_construction(self, ancilla_dim):
+        rng = np.random.default_rng(11)
+        channels = [PauliChannelMap(*rng.uniform(-1.0, 1.0, size=3)) for _ in range(8)]
+        channels += [intermediate_map(ETERNAL, GAP_TAU, GAP_TAU + GAP_DT)]
+        for ch in channels:
+            got = _seeds(ch, ancilla_dim)
+            assert got.tobytes() == per_call_seeds(ch, ancilla_dim).tobytes()
+        # each call hands out its own writable stack; the cached part stays intact
+        got[:] = 0.0
+        assert _seeds(ch, ancilla_dim).tobytes() == per_call_seeds(ch, ancilla_dim).tobytes()
 
     @pytest.mark.parametrize("ancilla_dim", [2, 3])
     @pytest.mark.parametrize("maps", ["eternal", "constant(1,1,-3)", "cp"])
@@ -382,6 +428,16 @@ class TestDetectBackflow:
         assert half.consistent == full.consistent
         assert half.c2_before == pytest.approx(0.5 * full.c2_before, rel=1e-9)
         assert half.c2_after == pytest.approx(0.5 * full.c2_after, rel=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [1e-7, 1e-12])
+    def test_verdict_does_not_depend_on_epsilon_scale(self, epsilon):
+        # both c2 values are linear in epsilon, so the backflow test is relative
+        for tau, dt in ((0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (GAP_TAU, GAP_DT)):
+            want = detect_backflow(ETERNAL, tau, dt, epsilon=0.05)
+            got = detect_backflow(ETERNAL, tau, dt, epsilon=epsilon)
+            assert got.backflow_detected == want.backflow_detected
+            assert got.consistent == want.consistent
+            assert got.inconclusive == want.inconclusive
 
     def test_boundary_band_point_reports_cleanly(self):
         # the accumulated eternal map touches the CP boundary exactly
