@@ -31,7 +31,7 @@ from .channels import (
     load_rate_table_csv,
     tune_rates_shrink_image,
 )
-from .ensembles import OptimizerBudget, construct_me_povm
+from .ensembles import OptimizerBudget, construct_me_povm, is_me_povm
 from .errors import (
     BackflowError,
     ConfigError,
@@ -44,14 +44,6 @@ from .errors import (
 from .linalg import random_density_matrix
 
 SCHEMA_VERSION = 1
-SCENARIOS = (
-    "divisibility-scan",
-    "backflow",
-    "hessian-verify",
-    "mutinfo-map",
-    "entanglement-blind",
-    "me-povm-demo",
-)
 # mirrors the coupling values exercised by the closed-form eigenvalue check
 HESSIAN_A12_VALUES = (-0.2, -0.1, 0.0, 0.1, 0.2)
 ME_POVM_OUTPUTS = 4
@@ -60,15 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INCONSISTENT = 3
-
-_HEADERS = {
-    "divisibility-scan": "t,s,gamma_x,gamma_y,gamma_z,d_x,d_y,d_z,choi_min_eig,cp,p",
-    "backflow": "tau,delta_t,c2_before,c2_after,choi_min_eig,backflow,consistent",
-    "hessian-verify": "a12,idx,eig_numeric,eig_closed_form,abs_err",
-    "mutinfo-map": "sample_id,didt,violation",
-    "entanglement-blind": "t,negativity,choi_min_eig_intermediate,c2",
-    "me-povm-demo": "outcome,probability,deviation_from_uniform",
-}
 
 _DEFAULT_TOLERANCES = {
     "band": 1e-8,
@@ -334,15 +317,13 @@ def _run_divisibility(config: ScenarioConfig, threads: int | None):
 
 
 def _run_backflow(config: ScenarioConfig, threads: int | None):
-    from .probe import detect_backflow
+    from .probe import scan_backflow_grid
 
     grid = _grid(config)
-    reports = [
-        detect_backflow(
-            config.profile, float(a), float(b - a), epsilon=config.epsilon, budget=config.budget
-        )
-        for a, b in zip(grid[:-1], grid[1:])
-    ]
+    reports = scan_backflow_grid(
+        config.profile, ((a, b - a) for a, b in zip(grid[:-1], grid[1:])),
+        epsilon=config.epsilon, budget=config.budget,
+    )
     rows = [
         (r.tau, r.delta_t, r.c2_before, r.c2_after, r.choi_min_eig,
          r.backflow_detected, r.consistent)
@@ -361,19 +342,16 @@ def _run_hessian(config: ScenarioConfig, threads: int | None):
     from .mutinfo import hessian_at_stationary
 
     rows = []
-    ok = True
+    matched = True
     for a12 in HESSIAN_A12_VALUES:
-        report = hessian_at_stationary(config.profile, config.t_end, a12)
+        report = hessian_at_stationary(
+            config.profile, config.t_end, a12,
+            rel_tol=config.tolerances["eig_rel"], abs_tol=config.tolerances["eig_abs"],
+        )
+        matched = matched and report.matched
         for idx, (num, want) in enumerate(zip(report.eigenvalues, report.expected)):
-            err = abs(float(num) - float(want))
-            rows.append((a12, idx, float(num), float(want), err))
-            bound = max(
-                config.tolerances["eig_abs"],
-                config.tolerances["eig_rel"] * abs(float(want)),
-            )
-            if err > bound:
-                ok = False
-    if ok:
+            rows.append((a12, idx, float(num), float(want), abs(float(num) - float(want))))
+    if matched:
         return rows, EXIT_OK, ""
     return rows, EXIT_INCONSISTENT, "Hessian eigenvalues depart from the closed forms"
 
@@ -424,30 +402,32 @@ def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
 
 
 def _run_me_povm(config: ScenarioConfig, threads: int | None):
-    rng = np.random.default_rng(config.seed)
-    state = random_density_matrix(rng, 4)
+    state = random_density_matrix(np.random.default_rng(config.seed), 4)
     povm = construct_me_povm(state, ME_POVM_OUTPUTS)
+    cert = is_me_povm(povm, state, tol=config.tolerances["uniformity"])
     target = 1.0 / ME_POVM_OUTPUTS
-    rows = []
-    worst = 0.0
-    for k, effect in enumerate(povm.effects):
-        p = float(np.real(np.trace(effect @ state.matrix)))
-        dev = abs(p - target)
-        worst = max(worst, dev)
-        rows.append((k, p, dev))
-    if worst > config.tolerances["uniformity"]:
+    rows = [(k, p, abs(p - target)) for k, p in enumerate(cert.probabilities)]
+    if not cert.equiprobable:
         return rows, EXIT_INCONSISTENT, "ME-POVM outcome distribution is not uniform"
     return rows, EXIT_OK, ""
 
 
-_RUNNERS = {
-    "divisibility-scan": _run_divisibility,
-    "backflow": _run_backflow,
-    "hessian-verify": _run_hessian,
-    "mutinfo-map": _run_mutinfo,
-    "entanglement-blind": _run_entanglement_blind,
-    "me-povm-demo": _run_me_povm,
+# scenario name -> (frozen CSV header, runner that owns the verdict)
+_SCENARIOS = {
+    "divisibility-scan": (
+        "t,s,gamma_x,gamma_y,gamma_z,d_x,d_y,d_z,choi_min_eig,cp,p",
+        _run_divisibility,
+    ),
+    "backflow": (
+        "tau,delta_t,c2_before,c2_after,choi_min_eig,backflow,consistent",
+        _run_backflow,
+    ),
+    "hessian-verify": ("a12,idx,eig_numeric,eig_closed_form,abs_err", _run_hessian),
+    "mutinfo-map": ("sample_id,didt,violation", _run_mutinfo),
+    "entanglement-blind": ("t,negativity,choi_min_eig_intermediate,c2", _run_entanglement_blind),
+    "me-povm-demo": ("outcome,probability,deviation_from_uniform", _run_me_povm),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run(
@@ -464,7 +444,8 @@ def run(
             file=sys.stderr,
         )
     try:
-        rows, code, message = _RUNNERS[config.scenario](config, threads)
+        header, runner = _SCENARIOS[config.scenario]
+        rows, code, message = runner(config, threads)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -476,7 +457,7 @@ def run(
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_HEADERS[config.scenario].split(","))
+        writer.writerow(header.split(","))
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     if verbose:

@@ -91,18 +91,16 @@ class MePovmCertificate:
     max_deviation: float
 
 
-def is_me_povm(povm: Povm, state: DensityMatrix) -> MePovmCertificate:
-    """Check whether every outcome is equiprobable on the given state."""
+def is_me_povm(povm: Povm, state: DensityMatrix, tol: float = ME_PROB_TOL) -> MePovmCertificate:
+    """Check whether every outcome probability Tr(E rho) is within tol of 1/n."""
     if povm.dim != state.dim:
         raise DimensionMismatchError(
             f"POVM dimension {povm.dim} does not match state dimension {state.dim}"
         )
     n = povm.n_outputs
-    probs = tuple(float(np.trace(state.matrix @ e).real) for e in povm.effects)
+    probs = tuple(float(np.trace(e @ state.matrix).real) for e in povm.effects)
     dev = max(abs(p - 1.0 / n) for p in probs)
-    return MePovmCertificate(
-        equiprobable=dev <= ME_PROB_TOL, probabilities=probs, max_deviation=dev
-    )
+    return MePovmCertificate(equiprobable=dev <= tol, probabilities=probs, max_deviation=dev)
 
 
 def construct_me_povm(state: DensityMatrix, n_outputs: int = 2) -> Povm:

@@ -35,7 +35,6 @@ from .probe import BackflowReport, detect_backflow
 
 NEGATIVITY_TOL = 1e-10
 INTERMEDIATE_NEG_TOL = 1e-8
-_RATE_TOL = 1e-12
 _PRE_SAMPLES = 65
 
 __all__ = [
@@ -169,7 +168,7 @@ def scenario_entanglement_blind(
             raise PreconditionError(
                 f"continuation must be P-divisible: negative pair sum at t={t:.6g}"
             )
-        if np.min(continuation_rates.rates(float(t))) < -_RATE_TOL:
+        if not is_cp_divisible_at(continuation_rates, float(t)):
             has_negative_rate = True
     if not has_negative_rate:
         raise PreconditionError(

@@ -494,13 +494,16 @@ def _system_marginal_hessian() -> np.ndarray:
 _SYSTEM_MARGINAL_HESSIAN = _system_marginal_hessian()
 
 
-def hessian_at_stationary(rates: RateProfile, t: float, a_12: float) -> HessianReport:
+def hessian_at_stationary(
+    rates: RateProfile, t: float, a_12: float, rel_tol: float = 1e-4, abs_tol: float = 1e-8
+) -> HessianReport:
     """Hessian of d/dt I at the stationary state, checked against closed forms.
 
     The derivative factorizes: with v_i = -c_i a_i the linear coordinate
     velocities, every third-order term vanishes at the stationary state and
     H_pq = -(c_p + c_q) (d^2 I / da_p da_q), a Hadamard weighting of the
-    entropy Hessian.
+    entropy Hessian. An eigenvalue matches when it lies within abs_tol of an
+    expected value no larger than abs_tol, or within rel_tol of any other.
     """
     _check_a12(a_12)
     hess_i = _mutual_information_hessian(a_12)
@@ -516,15 +519,15 @@ def hessian_at_stationary(rates: RateProfile, t: float, a_12: float) -> HessianR
     mismatch = 0.0
     matched = True
     for got, want in zip(eigs, expected):
-        if abs(want) <= 1e-8:
+        if abs(want) <= abs_tol:
             err = abs(got)
-            ok = err <= 1e-8
+            ok = err <= abs_tol
         else:
             err = abs(got - want) / abs(want)
-            ok = err <= 1e-4
+            ok = err <= rel_tol
         mismatch = max(mismatch, err)
         matched = matched and ok
-    zero_dim = int(np.sum(np.abs(eigs) <= 1e-8))
+    zero_dim = int(np.sum(np.abs(eigs) <= abs_tol))
     return HessianReport(
         a_12=float(a_12),
         hessian=hessian,

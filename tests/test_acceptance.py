@@ -6,6 +6,7 @@ each test prints ACCEPTANCE CRITERION k: PASS/FAIL regardless of outcome.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -189,7 +190,7 @@ def test_criterion_3_backflow_iff_noncp():
         outside = 0
         in_band = 0
         for name, rates in presets.items():
-            reports = scan_backflow_grid(rates, taus, dts)
+            reports = scan_backflow_grid(rates, itertools.product(taus, dts))
             assert len(reports) == 100
             for r in reports:
                 if abs(r.choi_min_eig) < BAND:

@@ -7,16 +7,22 @@ import json
 import numpy as np
 import pytest
 
+import backflow.mutinfo as mi
 from backflow.cli import (
     EXIT_CONFIG,
     EXIT_INCONSISTENT,
     EXIT_NUMERICAL,
     EXIT_OK,
+    HESSIAN_A12_VALUES,
+    ME_POVM_OUTPUTS,
     SCENARIOS,
     load_config,
     main,
 )
+from backflow.ensembles import construct_me_povm, is_me_povm
 from backflow.errors import ConfigError
+from backflow.linalg import random_density_matrix
+from backflow.probe import scan_backflow_grid
 
 HEADERS = {
     "divisibility-scan": "t,s,gamma_x,gamma_y,gamma_z,d_x,d_y,d_z,choi_min_eig,cp,p",
@@ -333,6 +339,54 @@ class TestScenarioRuns:
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "3"]
         for r in rows:
             assert float(r.split(",")[1]) == pytest.approx(0.25, abs=1e-12)
+
+    def test_me_povm_rows_are_the_certificate(self, tmp_path):
+        cfg = base_config("me-povm-demo")
+        for seed in range(20):
+            cfg["seed"] = seed
+            assert run_cli(tmp_path, cfg) == EXIT_OK
+            rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+            state = random_density_matrix(np.random.default_rng(seed), 4)
+            cert = is_me_povm(construct_me_povm(state, ME_POVM_OUTPUTS), state)
+            assert tuple(float(r.split(",")[1]) for r in rows) == cert.probabilities
+
+    @pytest.mark.parametrize("tol", [None, 1e-30])
+    def test_hessian_exit_is_the_report_verdict(self, tmp_path, tol):
+        cfg = base_config("hessian-verify")
+        if tol is not None:
+            cfg["tolerances"] = {"eig_rel": tol, "eig_abs": tol}
+        config = load_config(write_config(tmp_path, cfg))
+        matched = all(
+            mi.hessian_at_stationary(
+                config.profile,
+                config.t_end,
+                a12,
+                rel_tol=config.tolerances["eig_rel"],
+                abs_tol=config.tolerances["eig_abs"],
+            ).matched
+            for a12 in HESSIAN_A12_VALUES
+        )
+        assert matched == (tol is None)
+        assert run_cli(tmp_path, cfg) == (EXIT_OK if matched else EXIT_INCONSISTENT)
+
+    def test_backflow_rows_are_the_scan_reports(self, tmp_path):
+        cfg = base_config("backflow")
+        assert run_cli(tmp_path, cfg) == EXIT_OK
+        rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        config = load_config(write_config(tmp_path, cfg))
+        grid = np.linspace(config.t_start, config.t_end, config.steps)
+        reports = scan_backflow_grid(
+            config.profile,
+            zip(grid[:-1], np.diff(grid)),
+            epsilon=config.epsilon,
+            budget=config.budget,
+        )
+        assert len(rows) == len(reports)
+        for row, r in zip(rows, reports):
+            assert [float(v) for v in row[:5]] == [
+                r.tau, r.delta_t, r.c2_before, r.c2_after, r.choi_min_eig
+            ]
+            assert row[5:] == [str(r.backflow_detected).lower(), str(r.consistent).lower()]
 
     def test_entanglement_blind_blind_rows(self, tmp_path):
         cfg = base_config("entanglement-blind")

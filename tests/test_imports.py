@@ -147,7 +147,7 @@ def unread_parameters(source: str) -> list[str]:
     """`func:param` for each parameter of a public function or method never read in its body.
 
     `self` and `cls` are skipped. Underscore-named functions are exempt: the
-    CLI's `_RUNNERS` table calls every scenario runner with the same
+    CLI's `_SCENARIOS` table calls every scenario runner with the same
     `(config, threads)` signature, though only `mutinfo-map` reads `threads`.
     """
     found = []
@@ -172,12 +172,9 @@ def unread_parameters(source: str) -> list[str]:
 
 def test_guard_sees_unread_parameter():
     source = (SRC / "probe.py").read_text(encoding="utf-8")
-    signature = "delta_ts: Sequence[float]\n) -> list[BackflowReport]:"
+    signature = "    intervals: Iterable[tuple[float, float]],\n"
     assert source.count(signature) == 1
-    put_back = source.replace(
-        signature,
-        "delta_ts: Sequence[float], threads: int | None = None\n) -> list[BackflowReport]:",
-    )
+    put_back = source.replace(signature, signature + "    threads: int | None = None,\n")
     assert unread_parameters(put_back) == ["scan_backflow_grid:threads"]
     assert unread_parameters(
         "class A:\n    def f(self, x):\n        return 1\n"

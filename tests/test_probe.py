@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+import backflow.probe as probe
 from backflow.channels import (
     ExtendedChannel,
     PauliChannelMap,
@@ -439,6 +441,11 @@ class TestDetectBackflow:
             assert got.consistent == want.consistent
             assert got.inconclusive == want.inconclusive
 
+    def test_crosscheck_gate_scales_with_epsilon(self, monkeypatch):
+        # at epsilon 1e-7 both c2 values are about 2.5e-8, inside an absolute 1e-6
+        monkeypatch.setattr(probe, "correlation_CA2", lambda *args, **kwargs: 0.0)
+        assert detect_backflow(ETERNAL, 0.5, 0.5, epsilon=1e-7).inconclusive
+
     def test_boundary_band_point_reports_cleanly(self):
         # the accumulated eternal map touches the CP boundary exactly
         report = detect_backflow(ETERNAL, 0.0, 0.5)
@@ -469,7 +476,7 @@ class TestScanGrid:
     def test_row_major_order_matches_single_calls(self):
         taus = [0.5, 1.0]
         dts = [0.3, 0.6]
-        reports = scan_backflow_grid(ETERNAL, taus, dts)
+        reports = scan_backflow_grid(ETERNAL, itertools.product(taus, dts))
         assert [(r.tau, r.delta_t) for r in reports] == [
             (0.5, 0.3), (0.5, 0.6), (1.0, 0.3), (1.0, 0.6)
         ]
