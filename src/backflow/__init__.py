@@ -24,32 +24,29 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "channels": (
-        "DivisibilityVerdict", "ExtendedChannel", "GkslGenerator", "PauliChannelMap",
-        "RateProfile", "choi_eigenvalues", "choi_matrix", "choi_min_eigenvalue",
-        "classify_interval", "compose", "constant_rates", "decay_factors", "eternal_rates",
-        "gksl_apply", "intermediate_map", "invert_channel", "is_cp", "is_cp_divisible_at",
-        "is_p_divisible_at", "load_rate_table_csv", "table_rates", "tune_rates_shrink_image",
+        "DivisibilityVerdict", "ExtendedChannel", "PauliChannelMap", "RateProfile",
+        "choi_eigenvalues", "choi_matrix", "choi_min_eigenvalue", "classify_interval",
+        "constant_rates", "decay_factors", "eternal_rates", "intermediate_map",
+        "invert_channel", "is_cp", "is_cp_divisible_at", "is_p_divisible_at",
+        "load_rate_table_csv", "table_rates", "tune_rates_shrink_image",
     ),
     "ensembles": (
         "EnsembleMember", "OptimizerBudget", "Povm", "StateEnsemble", "apply_local_channel",
         "construct_me_povm", "correlation_C2", "correlation_C_general", "correlation_CA2",
-        "correlation_CB2", "guessing_probability_bruteforce", "guessing_probability_two",
-        "is_me_povm", "measure_on_subsystem", "random_local_cptp",
+        "correlation_CB2", "guessing_probability_bruteforce", "is_me_povm",
+        "random_local_cptp",
     ),
     "entwit": (
         "EntanglementBlindReport", "is_entanglement_breaking", "negativity",
         "scenario_entanglement_blind",
     ),
     "linalg": (
-        "DensityMatrix", "max_entangled_state", "maximally_mixed", "partial_trace",
-        "partial_transpose", "pure_state", "random_density_matrix", "tensor_product",
-        "trace_distance", "trace_norm", "von_neumann_entropy",
+        "DensityMatrix", "max_entangled_state", "maximally_mixed", "partial_transpose",
+        "pure_state", "random_density_matrix", "tensor_product", "trace_norm",
     ),
     "mutinfo": (
-        "HessianReport", "NeighborhoodScanReport", "closed_form_hessian_eigenvalues", "didt",
-        "didt_finite_difference", "hessian_at_stationary", "mutual_information",
-        "neighborhood_scan", "spectral_derivatives", "stationary_state",
-        "zero_eigenspace_didt",
+        "HessianReport", "NeighborhoodScanReport", "closed_form_hessian_eigenvalues",
+        "hessian_at_stationary", "neighborhood_scan", "spectral_derivatives",
     ),
     "probe": (
         "BackflowReport", "ProbePair", "ProbeState", "build_probe_state", "detect_backflow",

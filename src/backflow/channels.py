@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteError,
     TimeOrderViolationError,
 )
-from .linalg import PAULIS, PHI_PLUS, DensityMatrix, as_matrix
+from .linalg import PHI_PLUS, DensityMatrix, as_matrix
 
 _TIME_SLACK = 1e-12
 # a rate or pair sum this far below zero still counts as non-negative
@@ -268,11 +268,6 @@ def invert_channel(ch: PauliChannelMap) -> PauliChannelMap:
     return PauliChannelMap(d_x=1.0 / ch.d_x, d_y=1.0 / ch.d_y, d_z=1.0 / ch.d_z)
 
 
-def compose(later: PauliChannelMap, earlier: PauliChannelMap) -> PauliChannelMap:
-    f = later.factors * earlier.factors
-    return PauliChannelMap(*f)
-
-
 class ExtendedChannel:
     """identity (x) map on ancilla factors, with the map on the last factor.
 
@@ -376,43 +371,6 @@ def classify_interval(
             )
         )
     return verdicts
-
-
-@dataclass(frozen=True)
-class GkslGenerator:
-    """Time-local generator: i[H, rho] + sum_k w_k (G rho G+ - {G+G, rho}/2)."""
-
-    hamiltonian: Callable[[float], np.ndarray] | None
-    jump_operators: tuple[np.ndarray, ...]
-    weights: Callable[[float], np.ndarray]
-
-
-def gksl_apply(gen: GkslGenerator, state, t: float) -> np.ndarray:
-    rho = as_matrix(state)
-    out = np.zeros_like(rho)
-    if gen.hamiltonian is not None:
-        h = gen.hamiltonian(t)
-        out += 1j * (h @ rho - rho @ h)
-    w = np.asarray(gen.weights(t), dtype=float)
-    for wk, g in zip(w, gen.jump_operators):
-        gdg = g.conj().T @ g
-        out += wk * (g @ rho @ g.conj().T - 0.5 * (gdg @ rho + rho @ gdg))
-    return out
-
-
-def random_unitary_generator(rates: RateProfile) -> GkslGenerator:
-    """Generator whose integrated dynamics reproduces decay_factors.
-
-    The jump operators are the Pauli matrices with weights gamma_k/2; the
-    factor 1/2 makes d/ds of the accumulated map at s = t agree with the
-    decay-factor exponents (each Bloch axis damps at the pairwise rate sum,
-    not twice it).
-    """
-    return GkslGenerator(
-        hamiltonian=None,
-        jump_operators=(PAULIS[1], PAULIS[2], PAULIS[3]),
-        weights=lambda t: 0.5 * rates.rates(t),
-    )
 
 
 def tune_rates_shrink_image(rates: RateProfile, epsilon: float, t_activate: float) -> RateProfile:

@@ -35,14 +35,11 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     hermitian_eig,
-    maximally_mixed,
     tensor_product,
-    trace_distance,
     trace_norm,
 )
 
 ME_PROB_TOL = 1e-10
-DEGENERATE_OUTCOME_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -180,66 +177,8 @@ class StateEnsemble:
         return tuple(m.state for m in self.members)
 
 
-def _resolve_side(dims: Sequence[int], side) -> tuple[int, ...]:
-    """Map a side designator (\"A\", \"B\", factor index, or index tuple) to factors."""
-    if isinstance(side, str):
-        if side.upper() == "A":
-            return (0,)
-        if side.upper() == "B":
-            return tuple(range(1, len(dims)))
-        raise SubsystemIndexError(f"unknown side {side!r}")
-    if isinstance(side, (int, np.integer)):
-        return (int(side),)
-    return tuple(int(k) for k in side)
-
-
-def measure_on_subsystem(state: DensityMatrix, povm: Povm, side=0) -> StateEnsemble:
-    """Measure one side of a composite state; return outcomes and conditionals.
-
-    side is "A" (the first factor), "B" (everything else), a factor index, or
-    a tuple of factor indices. Outcomes with probability below 1e-14 are
-    flagged degenerate and carry the maximally mixed conditional as a
-    placeholder.
-    """
-    dims = state.dims
-    measured = _resolve_side(dims, side)
-    rest = tuple(k for k in range(len(dims)) if k not in measured)
-    if not rest:
-        raise SubsystemIndexError("measurement must leave an unmeasured side")
-    mat, d_meas, d_rest = _bipartition(state, measured)
-    if povm.dim != d_meas:
-        raise DimensionMismatchError("POVM dimension does not match the measured side")
-    rest_dims = tuple(dims[k] for k in rest)
-    members = []
-    for effect in povm.effects:
-        kernel = _conditional_kernel(mat, d_meas, d_rest, effect)
-        p = float(np.trace(kernel).real)
-        if p <= DEGENERATE_OUTCOME_TOL:
-            members.append(
-                EnsembleMember(
-                    probability=max(p, 0.0),
-                    state=maximally_mixed(rest_dims),
-                    degenerate=True,
-                )
-            )
-            continue
-        cond = 0.5 * (kernel + kernel.conj().T) / p
-        members.append(
-            EnsembleMember(
-                probability=p,
-                state=DensityMatrix(matrix=cond, dims=rest_dims, _skip_checks=True),
-            )
-        )
-    return StateEnsemble(members=tuple(members))
-
-
 # ---------------------------------------------------------------------------
 # guessing probability
-
-
-def guessing_probability_two(state_a: DensityMatrix, state_b: DensityMatrix) -> float:
-    """Optimal guessing probability for two equiprobable states."""
-    return 0.25 * (2.0 + 2.0 * trace_distance(state_a, state_b))
 
 
 @dataclass(frozen=True)

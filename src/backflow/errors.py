@@ -11,10 +11,6 @@ class NotHermitianError(BackflowError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class EigenConvergenceError(BackflowError):
-    """The eigensolver failed to converge."""
-
-
 class DimensionMismatchError(BackflowError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
@@ -64,20 +60,12 @@ class ScaleUnderflowError(BackflowError):
     """Geometric shrinking of the perturbation hit the step limit."""
 
 
-class BoundaryStateError(BackflowError):
-    """A state sits too close to the boundary of the state set."""
-
-
 class BoundaryParameterError(BackflowError):
     """A family parameter sits on the boundary of its allowed interval."""
 
 
 class DegenerateSpectrumError(BackflowError):
     """Spectral derivative requested where the scalar function blows up."""
-
-
-class DegenerateDirectionError(BackflowError):
-    """A direction parameter has zero length where a unit vector is needed."""
 
 
 class PreconditionError(BackflowError):

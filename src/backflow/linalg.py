@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EigenConvergenceError,
     InvalidStateError,
     NotHermitianError,
     SubsystemIndexError,
@@ -29,7 +28,6 @@ HERMITICITY_TOL = 1e-10
 STATE_HERMITICITY_TOL = 1e-12
 STATE_TRACE_TOL = 1e-12
 STATE_PSD_TOL = -1e-10
-ENTROPY_CLAMP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -43,18 +41,15 @@ class EigenDecomposition:
 def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitianError if max |M - M^dagger| exceeds HERMITICITY_TOL,
-    and EigenConvergenceError if the underlying solver fails.
+    Raises NotHermitianError if max |M - M^dagger| exceeds HERMITICITY_TOL;
+    a solver failure propagates as numpy's LinAlgError.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {matrix.shape}")
     if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from Hermitian by more than {HERMITICITY_TOL}")
-    try:
-        w, u = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise EigenConvergenceError(str(exc)) from exc
+    w, u = np.linalg.eigh(matrix)
     return EigenDecomposition(eigenvalues=w, eigenvectors=u)
 
 
@@ -141,32 +136,6 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(matrix=mat, dims=(dim,))
 
 
-def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all subsystems not listed in keep.
-
-    keep preserves the original ordering of the retained factors.
-    """
-    mat, sys_dims = state.matrix, state.dims
-    keep = sorted(set(int(k) for k in keep))
-    n = len(sys_dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise SubsystemIndexError(f"keep={keep} out of range for {n} subsystems")
-    if not keep:
-        raise SubsystemIndexError("must keep at least one subsystem")
-    tensor = mat.reshape(tuple(sys_dims) * 2)
-    # contract each traced subsystem's ket index with its bra index
-    traced = [i for i in range(n) if i not in keep]
-    for count, idx in enumerate(traced):
-        ax = idx - sum(1 for j in traced[:count] if j < idx)
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + half)
-    kept_dims = tuple(sys_dims[k] for k in keep)
-    total = int(np.prod(kept_dims))
-    out = tensor.reshape(total, total)
-    out = 0.5 * (out + out.conj().T)  # scrub rounding asymmetry
-    return DensityMatrix(matrix=out, dims=kept_dims, _skip_checks=True)
-
-
 def partial_transpose(matrix: np.ndarray, dims, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor of a bipartite (or multipartite) operator."""
     dims = tuple(int(d) for d in dims)
@@ -191,25 +160,3 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
         raise NotHermitianError("trace_norm is implemented for Hermitian matrices only")
     norms = np.abs(np.linalg.eigvalsh(matrix)).sum(axis=-1)
     return float(norms) if matrix.ndim == 2 else norms
-
-
-def trace_distance(state_a, state_b) -> float:
-    a, b = as_matrix(state_a), as_matrix(state_b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)
-
-
-def von_neumann_entropy(state) -> float:
-    """-Tr(rho ln rho), in natural log units.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero and anything below 1e-14
-    contributes nothing; an eigenvalue under -1e-10 is rejected.
-    """
-    mat = as_matrix(state)
-    w = np.linalg.eigvalsh(mat)
-    if w[0] < STATE_PSD_TOL:
-        raise InvalidStateError(f"eigenvalue {w[0]:.3e} below -1e-10")
-    w = np.where(w < ENTROPY_CLAMP, 0.0, w)
-    nz = w[w > 0]
-    return float(-(nz * np.log(nz)).sum())

@@ -21,30 +21,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (
-    ExtendedChannel,
-    PauliChannelMap,
-    RateProfile,
-    intermediate_map,
-    invert_channel,
-)
+from .channels import RateProfile
 from .errors import (
     BoundaryParameterError,
-    BoundaryStateError,
-    DegenerateDirectionError,
     DegenerateSpectrumError,
     DimensionMismatchError,
-    InvalidStateError,
     NonFiniteError,
     PreconditionError,
 )
-from .linalg import (
-    PAULIS,
-    DensityMatrix,
-    hermitian_eig,
-    partial_trace,
-    von_neumann_entropy,
-)
+from .linalg import PAULIS, hermitian_eig
 
 INTERIOR_TOL = 1e-8
 DEGENERACY_TOL = 1e-9
@@ -79,53 +64,6 @@ _MOVING_ENTRIES = tuple(_BASIS_ENTRIES[i] for i in _MOVING)
 _MARGINAL_ENTRIES = _nonzero_entries(np.stack([2.0 * p for p in PAULIS[1:]]))
 
 
-@dataclass(frozen=True)
-class PauliBasisCoordinates:
-    """Sixteen real coordinates with the unit-trace entry pinned to 1/4."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
-        if arr.shape != (16,):
-            raise DimensionMismatchError("coordinates must be a length-16 vector")
-        if abs(arr[0] - 0.25) > 1e-12:
-            raise InvalidStateError("a_0 must equal 1/4 for a unit-trace state")
-        object.__setattr__(self, "a", arr)
-
-
-def coords_from_state(state: DensityMatrix) -> PauliBasisCoordinates:
-    _require_two_qubits(state)
-    a = 0.25 * np.einsum("ab,iba->i", state.matrix, _BASIS_STACK).real
-    return PauliBasisCoordinates(a=a)
-
-
-def state_from_coords(coords: PauliBasisCoordinates) -> DensityMatrix:
-    mat = np.einsum("i,iab->ab", coords.a, _BASIS_STACK)
-    return DensityMatrix(matrix=mat, dims=(2, 2))
-
-
-def stationary_state(a_12: float) -> DensityMatrix:
-    """Diagonal stationary state (1/4) 1(x)1 + a_12 sigma_z (x) 1."""
-    a = np.zeros(16)
-    a[0] = 0.25
-    a[12] = float(a_12)
-    return state_from_coords(PauliBasisCoordinates(a=a))
-
-
-def _require_two_qubits(state: DensityMatrix) -> None:
-    if tuple(state.dims) != (2, 2):
-        raise DimensionMismatchError("expected an ancilla-system qubit pair (2, 2)")
-
-
-def mutual_information(state: DensityMatrix) -> float:
-    """I = S(rho_A) + S(rho_S) - S(rho_AS) in natural log units."""
-    _require_two_qubits(state)
-    s_a = von_neumann_entropy(partial_trace(state, keep=(0,)))
-    s_s = von_neumann_entropy(partial_trace(state, keep=(1,)))
-    return s_a + s_s - von_neumann_entropy(state)
-
-
 # ---------------------------------------------------------------------------
 # spectral-function derivatives
 
@@ -148,14 +86,6 @@ def entropy_function() -> SpectralFunction:
         value=val,
         gradient=lambda lam: -(1.0 + np.log(lam)),
         hessian=lambda lam: np.diag(-1.0 / lam),
-    )
-
-
-def trace_function() -> SpectralFunction:
-    return SpectralFunction(
-        value=lambda lam: float(lam.sum()),
-        gradient=lambda lam: np.ones_like(lam),
-        hessian=lambda lam: np.zeros((lam.size, lam.size)),
     )
 
 
@@ -382,32 +312,6 @@ def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray
     return values
 
 
-def didt(state: DensityMatrix, rates: RateProfile, t: float) -> float:
-    """Chain-rule time derivative of I at an interior two-qubit state."""
-    _require_two_qubits(state)
-    if float(np.linalg.eigvalsh(state.matrix)[0]) <= INTERIOR_TOL:
-        raise BoundaryStateError("state eigenvalue at or below 1e-8; didt undefined")
-    return float(didt_batch(state.matrix[None], rates, t)[0])
-
-
-def didt_finite_difference(state: DensityMatrix, rates: RateProfile, t: float) -> float:
-    """Central difference of I under the intermediate map, as an oracle."""
-    step = 1e-5
-    _require_two_qubits(state)
-    if float(np.linalg.eigvalsh(state.matrix)[0]) <= INTERIOR_TOL:
-        raise BoundaryStateError("state eigenvalue at or below 1e-8; didt undefined")
-
-    def shifted(ch: PauliChannelMap) -> float:
-        return mutual_information(ExtendedChannel(ch, (2,)).apply_state(state))
-
-    if t >= step:
-        plus = shifted(intermediate_map(rates, t, t + step))
-        minus = shifted(invert_channel(intermediate_map(rates, t - step, t)))
-        return (plus - minus) / (2.0 * step)
-    plus = shifted(intermediate_map(rates, t, t + step))
-    return (plus - mutual_information(state)) / step
-
-
 # ---------------------------------------------------------------------------
 # Hessian at the diagonal stationary states
 
@@ -538,75 +442,6 @@ def hessian_at_stationary(
         matched=matched,
         max_mismatch=float(mismatch),
     )
-
-
-# ---------------------------------------------------------------------------
-# the zero eigenspace of the Hessian
-
-
-def radius_shrink_rate(coords3: Sequence[float], rates: RateProfile, t: float) -> float:
-    """(a_1^2 c_1 + a_2^2 c_2 + a_3^2 c_3) / |a|: the decay speed of the
-    system Bloch radius. Non-negative exactly under the pairwise conditions;
-    the radius derivative itself is the negative of this value."""
-    a1, a2, a3 = (float(x) for x in coords3)
-    norm_sq = a1 * a1 + a2 * a2 + a3 * a3
-    if norm_sq <= 0.0:
-        raise DegenerateDirectionError("system direction (a_1, a_2, a_3) must be non-zero")
-    c = rates.pair_sums(t)
-    return float((a1 * a1 * c[0] + a2 * a2 * c[1] + a3 * a3 * c[2]) / math.sqrt(norm_sq))
-
-
-def zero_eigenspace_state(a_0: float, coords: Sequence[float]) -> DensityMatrix:
-    """State (1/4) 1(x)1 + (1 + 4 a_0 sigma_z)(x)(a.sigma) + (b.sigma)(x) 1
-    for coords = (a_1, a_2, a_3, a_4, a_8, a_12)."""
-    a1, a2, a3, a4, a8, a12 = (float(x) for x in coords)
-    a = np.zeros(16)
-    a[0] = 0.25
-    a[1], a[2], a[3] = a1, a2, a3
-    a[13], a[14], a[15] = 4.0 * a_0 * a1, 4.0 * a_0 * a2, 4.0 * a_0 * a3
-    a[4], a[8], a[12] = a4, a8, a12
-    return state_from_coords(PauliBasisCoordinates(a=a))
-
-
-def zero_eigenspace_didt(
-    a_0: float, coords: Sequence[float], rates: RateProfile, t: float
-) -> float:
-    """Closed-form d/dt of I on the flat directions of the stationary Hessian.
-
-    Every coordinate of the state enters I only through the system Bloch
-    radius lam, so dI/dt = (dI/dlam)(dlam/ds). The four joint eigenvalues are
-    x = 1/4 +- lam +- omega with omega_pm themselves functions of lam, which
-    adds the omega' ln-ratio terms to the plain ln(x3 x4 / (x1 x2)) part.
-    """
-    a1, a2, a3, a4, a8, a12 = (float(x) for x in coords)
-    lam_sq = a1 * a1 + a2 * a2 + a3 * a3
-    if lam_sq <= 0.0:
-        raise DegenerateDirectionError("system direction (a_1, a_2, a_3) must be non-zero")
-    lam = math.sqrt(lam_sq)
-
-    state = zero_eigenspace_state(a_0, coords)  # raises InvalidState when outside
-    if float(np.linalg.eigvalsh(state.matrix)[0]) <= INTERIOR_TOL:
-        raise InvalidStateError("zero-eigenspace state must be interior")
-
-    trans = a4 * a4 + a8 * a8
-    z_plus = a12 + 4.0 * a_0 * lam
-    z_minus = a12 - 4.0 * a_0 * lam
-    w_plus = math.sqrt(trans + z_plus * z_plus)
-    w_minus = math.sqrt(trans + z_minus * z_minus)
-    x1 = 0.25 - lam - w_minus
-    x2 = 0.25 - lam + w_minus
-    x3 = 0.25 + lam + w_plus
-    x4 = 0.25 + lam - w_plus
-    di_dlam = math.log((x3 * x4) / (x1 * x2)) - 2.0 * math.log(
-        (0.5 + 2.0 * lam) / (0.5 - 2.0 * lam)
-    )
-    # omega' terms; when omega vanishes so does its z numerator, limit zero
-    if w_plus > 1e-300:
-        di_dlam += (4.0 * a_0 * z_plus / w_plus) * math.log(x3 / x4)
-    if w_minus > 1e-300:
-        di_dlam += (-4.0 * a_0 * z_minus / w_minus) * math.log(x2 / x1)
-    dlam_ds = -radius_shrink_rate((a1, a2, a3), rates, t)
-    return di_dlam * dlam_ds
 
 
 # ---------------------------------------------------------------------------

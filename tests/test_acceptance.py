@@ -33,7 +33,6 @@ from backflow.ensembles import (
     correlation_CA2,
     correlation_CB2,
     guessing_probability_bruteforce,
-    guessing_probability_two,
     random_local_cptp,
 )
 from backflow.entwit import NEGATIVITY_TOL, scenario_entanglement_blind
@@ -46,44 +45,19 @@ from backflow.probe import (
     scan_backflow_grid,
     trace_norm_expansion_direction,
 )
+from oracles import (
+    didt,
+    didt_finite_difference,
+    guessing_probability_two,
+    random_hermitian,
+    spectral_fd,
+)
 
 BAND = 1e-8
 
 
 def _verdict(k: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE CRITERION {k}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
-def spectral_fd(base, dirs, f, a, step):
-    def val(x):
-        mat = np.array(base, dtype=complex)
-        for xi, d in zip(x, dirs):
-            mat += xi * d
-        return f.value(np.linalg.eigvalsh(mat))
-
-    m = a.size
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        grad[i] = (val(a + e) - val(a - e)) / (2.0 * step)
-        hess[i, i] = (val(a + e) - 2.0 * val(a) + val(a - e)) / step**2
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei = np.zeros(m)
-            ej = np.zeros(m)
-            ei[i] = step
-            ej[j] = step
-            hess[i, j] = hess[j, i] = (
-                val(a + ei + ej) - val(a + ei - ej) - val(a - ei + ej) + val(a - ei - ej)
-            ) / (4.0 * step**2)
-    return grad, hess
 
 
 def probe_direction(rates, tau, delta_t):
@@ -346,8 +320,8 @@ def test_criterion_8_oracle_agreements():
             )
             rates = profiles[k % 3]
             t = float(rng.uniform(0.2, 1.5))
-            got = mi.didt(state, rates, t)
-            want = mi.didt_finite_difference(state, rates, t)
+            got = didt(state, rates, t)
+            want = didt_finite_difference(state, rates, t)
             worst_didt = max(worst_didt, abs(got - want))
             assert abs(got - want) <= 1e-6
         ok = True

@@ -17,18 +17,15 @@ from backflow.channels import (
     choi_matrix,
     choi_min_eigenvalue,
     classify_interval,
-    compose,
     constant_rates,
     decay_factors,
     eternal_rates,
-    gksl_apply,
     intermediate_map,
     invert_channel,
     is_cp,
     is_cp_divisible_at,
     is_p_divisible_at,
     load_rate_table_csv,
-    random_unitary_generator,
     table_rates,
     tune_rates_shrink_image,
 )
@@ -46,6 +43,7 @@ from backflow.linalg import (
     random_density_matrix,
 )
 from backflow.probe import detect_backflow
+from oracles import compose, gksl_apply, random_unitary_generator
 
 # Decay factors of the eternal profile accumulated over [0, 1].
 ETERNAL_D_XY = math.cosh(1.0) / math.e

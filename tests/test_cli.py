@@ -442,6 +442,15 @@ class TestExitCodes:
             assert run_cli(tmp_path, cfg) == EXIT_NUMERICAL
             assert "numerical failure" in capsys.readouterr().err
 
+    def test_eigensolver_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert run_cli(tmp_path, base_config("me-povm-demo")) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_consistency_violation_is_exit_three(self, tmp_path, capsys):
         cfg = base_config("me-povm-demo")
         cfg["tolerances"] = {"uniformity": 1e-30}

@@ -23,9 +23,7 @@ from backflow.ensembles import (
     correlation_CA2,
     correlation_CB2,
     guessing_probability_bruteforce,
-    guessing_probability_two,
     is_me_povm,
-    measure_on_subsystem,
     random_local_cptp,
 )
 from backflow.errors import (
@@ -40,12 +38,12 @@ from backflow.linalg import (
     as_matrix,
     max_entangled_state,
     maximally_mixed,
-    partial_trace,
     pure_state,
     random_density_matrix,
     tensor_product,
     trace_norm,
 )
+from oracles import guessing_probability_two, measure_on_subsystem, partial_trace
 
 SMALL_BUDGET = OptimizerBudget(seeds=4, max_iterations=200)
 

@@ -1,6 +1,7 @@
 """Code hygiene: no private cross-module imports, dead imports, helpers, knobs or
-parameters, no scipy import on the way to `import backflow`, and a lazy package:
-`import backflow` loads no submodule and each CLI scenario only the modules it runs."""
+parameters, no definition that no run path reaches, no scipy import on the way to
+`import backflow`, and a lazy package: `import backflow` loads no submodule and each
+CLI scenario only the modules it runs."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import backflow
 from backflow import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "backflow"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def private_relative_imports(source: str) -> list[tuple[int, str]]:
@@ -113,6 +116,86 @@ def test_every_private_helper_is_referenced():
         if (names := unreferenced_private_helpers(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name node reads, as a bare name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unreached_definitions(sources, root_text: str) -> list[str]:
+    """Top-level definitions in sources that no run root reaches.
+
+    A definition is a top-level def, class or assigned name, dunders aside.
+    The roots are the names read by module-level statements other than defs
+    and classes (so `cli._SCENARIOS` roots the scenario runners and
+    `if __name__ == "__main__"` roots `main`), and every identifier in
+    root_text, in code or in strings. A reached definition reaches every
+    definition whose name it reads.
+    """
+    bodies: dict[str, list[ast.AST]] = {}
+    roots = set(re.findall(r"[A-Za-z_]\w*", root_text))
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                roots |= names_read(node)
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    bodies.setdefault(name, []).append(node)
+    reached: set[str] = set()
+    todo = [name for name in roots if name in bodies]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for node in bodies[name] for n in names_read(node) if n in bodies]
+    return sorted(set(bodies) - reached)
+
+
+def package_sources() -> dict[str, str]:
+    """Source of each package module; `__init__.py` only forwards names."""
+    return {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def benchmark_text() -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+
+
+def test_guard_sees_unreached_definition():
+    sources = package_sources()
+    sources["channels.py"] += (
+        "\n\ndef compose(later, earlier):\n"
+        "    return PauliChannelMap(*(later.factors * earlier.factors))\n"
+    )
+    assert unreached_definitions(sources.values(), benchmark_text()) == ["compose"]
+    # a dead caller does not keep its callee alive; __main__ and strings are roots
+    assert unreached_definitions([
+        "_TOL = 1e-9\n"
+        "def _below(x):\n    return x < _TOL\n"
+        "def run(x):\n    return _below(x)\n"
+        "def _shifted(x):\n    return x + 1\n"
+        "def oracle(x):\n    return _shifted(x)\n"
+        "def traced():\n    return 0\n"
+        "RUNNERS = {'run': run}\n"
+        "if __name__ == '__main__':\n    print(RUNNERS)\n"
+    ], "hooks = ['module.traced']") == ["_shifted", "oracle"]
+
+
+def test_every_definition_is_reached_from_a_run_root():
+    assert len(package_sources()) >= 8
+    assert unreached_definitions(package_sources().values(), benchmark_text()) == []
 
 
 def unread_tolerances(source: str, keys) -> list[str]:
@@ -318,29 +401,29 @@ def test_neighborhood_scan_loads_no_scipy():
     assert modules_after(code, "scipy") == []
 
 
-# the 72 names the package exported when every submodule was imported eagerly
+# the 72 names the package exported when every submodule was imported eagerly,
+# less the 13 that no run path reaches; those live in tests/oracles.py
 PUBLIC_NAMES = frozenset("""
-    BackflowReport DensityMatrix DivisibilityVerdict EnsembleMember EntanglementBlindReport
-    ExtendedChannel GkslGenerator HessianReport NeighborhoodScanReport OptimizerBudget
-    PauliChannelMap Povm ProbePair ProbeState RateProfile StateEnsemble apply_local_channel
-    build_probe_state choi_eigenvalues choi_matrix choi_min_eigenvalue classify_interval
-    closed_form_hessian_eigenvalues compose constant_rates construct_me_povm correlation_C2
-    correlation_CA2 correlation_CB2 correlation_C_general decay_factors detect_backflow didt
-    didt_finite_difference eternal_rates evolve_probe gksl_apply
-    guessing_probability_bruteforce guessing_probability_two hessian_at_stationary
-    intermediate_map invert_channel is_cp is_cp_divisible_at is_entanglement_breaking
-    is_me_povm is_p_divisible_at load_rate_table_csv max_entangled_state maximally_mixed
-    measure_on_subsystem mutual_information negativity neighborhood_scan partial_trace
-    partial_transpose pull_back_pair pure_state random_density_matrix random_local_cptp
-    scan_backflow_grid scenario_entanglement_blind spectral_derivatives stationary_state
-    table_rates tensor_product trace_distance trace_norm trace_norm_expansion_direction
-    tune_rates_shrink_image von_neumann_entropy zero_eigenspace_didt
+    BackflowReport DensityMatrix DivisibilityVerdict EnsembleMember
+    EntanglementBlindReport ExtendedChannel HessianReport NeighborhoodScanReport
+    OptimizerBudget PauliChannelMap Povm ProbePair ProbeState RateProfile StateEnsemble
+    apply_local_channel build_probe_state choi_eigenvalues choi_matrix
+    choi_min_eigenvalue classify_interval closed_form_hessian_eigenvalues constant_rates
+    construct_me_povm correlation_C2 correlation_CA2 correlation_CB2
+    correlation_C_general decay_factors detect_backflow eternal_rates evolve_probe
+    guessing_probability_bruteforce hessian_at_stationary intermediate_map
+    invert_channel is_cp is_cp_divisible_at is_entanglement_breaking is_me_povm
+    is_p_divisible_at load_rate_table_csv max_entangled_state maximally_mixed negativity
+    neighborhood_scan partial_transpose pull_back_pair pure_state random_density_matrix
+    random_local_cptp scan_backflow_grid scenario_entanglement_blind
+    spectral_derivatives table_rates tensor_product trace_norm
+    trace_norm_expansion_direction tune_rates_shrink_image
 """.split())
 SUBMODULES = ("channels", "cli", "ensembles", "entwit", "errors", "linalg", "mutinfo", "probe")
 
 
 def test_exports_are_the_home_modules_objects():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 59
     assert backflow.__all__ == sorted(PUBLIC_NAMES)
     for name in backflow.__all__:
         obj = getattr(backflow, name)

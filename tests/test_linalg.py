@@ -20,20 +20,13 @@ from backflow.linalg import (
     hermitian_eig,
     max_entangled_state,
     maximally_mixed,
-    partial_trace,
     partial_transpose,
     pure_state,
     random_density_matrix,
     tensor_product,
-    trace_distance,
     trace_norm,
-    von_neumann_entropy,
 )
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (raw + raw.conj().T)
+from oracles import partial_trace, random_hermitian, trace_distance, von_neumann_entropy
 
 
 class TestHermitianEig:

@@ -22,8 +22,6 @@ from backflow.channels import (
 )
 from backflow.errors import (
     BoundaryParameterError,
-    BoundaryStateError,
-    DegenerateDirectionError,
     DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidStateError,
@@ -36,6 +34,23 @@ from backflow.linalg import (
     max_entangled_state,
     maximally_mixed,
     random_density_matrix,
+)
+from oracles import (
+    BoundaryStateError,
+    DegenerateDirectionError,
+    PauliBasisCoordinates,
+    coords_from_state,
+    didt,
+    didt_finite_difference,
+    mutual_information,
+    radius_shrink_rate,
+    random_hermitian,
+    spectral_fd,
+    state_from_coords,
+    stationary_state,
+    trace_function,
+    zero_eigenspace_didt,
+    zero_eigenspace_state,
 )
 
 LN2 = math.log(2.0)
@@ -55,11 +70,6 @@ def interior_state(seed: int, mix: float = 0.2) -> DensityMatrix:
     return DensityMatrix(matrix=mat, dims=(2, 2))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
 class TestCoordinates:
     def test_basis_is_orthogonal_with_norm_four(self):
         for i, ei in enumerate(mi.PAULI_PRODUCT_BASIS):
@@ -71,52 +81,52 @@ class TestCoordinates:
     def test_round_trip(self, seed):
         state = random_density_matrix(np.random.default_rng(seed), 4)
         state = DensityMatrix(matrix=state.matrix, dims=(2, 2))
-        back = mi.state_from_coords(mi.coords_from_state(state))
+        back = state_from_coords(coords_from_state(state))
         assert np.max(np.abs(back.matrix - state.matrix)) < 1e-12
 
     def test_trace_coordinate_pinned(self):
-        coords = mi.coords_from_state(maximally_mixed((2, 2)))
+        coords = coords_from_state(maximally_mixed((2, 2)))
         assert coords.a[0] == pytest.approx(0.25, abs=1e-14)
         assert np.max(np.abs(coords.a[1:])) < 1e-14
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            mi.PauliBasisCoordinates(a=np.zeros(15))
+            PauliBasisCoordinates(a=np.zeros(15))
 
     def test_wrong_trace_entry_rejected(self):
         a = np.zeros(16)
         a[0] = 0.3
         with pytest.raises(InvalidStateError):
-            mi.PauliBasisCoordinates(a=a)
+            PauliBasisCoordinates(a=a)
 
     def test_coords_outside_state_set_rejected(self):
         a = np.zeros(16)
         a[0] = 0.25
         a[15] = 0.6  # far outside the Bloch body
         with pytest.raises(InvalidStateError):
-            mi.state_from_coords(mi.PauliBasisCoordinates(a=a))
+            state_from_coords(PauliBasisCoordinates(a=a))
 
     def test_qutrit_pair_rejected(self):
         state = maximally_mixed((3, 2))
         with pytest.raises(DimensionMismatchError):
-            mi.coords_from_state(state)
+            coords_from_state(state)
 
 
 class TestMutualInformation:
     def test_product_state_zero(self):
         rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
-        assert mi.mutual_information(DensityMatrix(matrix=rho, dims=(2, 2))) == pytest.approx(
+        assert mutual_information(DensityMatrix(matrix=rho, dims=(2, 2))) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_bell_state_two_ln_two(self):
-        assert mi.mutual_information(max_entangled_state(2)) == pytest.approx(
+        assert mutual_information(max_entangled_state(2)) == pytest.approx(
             2.0 * LN2, abs=1e-12
         )
 
     def test_classical_correlated_ln_two(self):
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-        assert mi.mutual_information(DensityMatrix(matrix=rho, dims=(2, 2))) == pytest.approx(
+        assert mutual_information(DensityMatrix(matrix=rho, dims=(2, 2))) == pytest.approx(
             LN2, abs=1e-12
         )
 
@@ -124,45 +134,45 @@ class TestMutualInformation:
     def test_never_meaningfully_negative(self, seed):
         state = random_density_matrix(np.random.default_rng(seed), 4)
         state = DensityMatrix(matrix=state.matrix, dims=(2, 2))
-        assert mi.mutual_information(state) >= -1e-10
+        assert mutual_information(state) >= -1e-10
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
-            mi.mutual_information(maximally_mixed((2, 3)))
+            mutual_information(maximally_mixed((2, 3)))
 
 
 class TestDidt:
     def test_stationary_state_exactly_zero(self):
-        assert mi.didt(mi.stationary_state(0.15), eternal_rates(), 1.0) == 0.0
+        assert didt(stationary_state(0.15), eternal_rates(), 1.0) == 0.0
 
     def test_product_state_zero(self):
         rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.55, 0.45])).astype(complex)
         state = DensityMatrix(matrix=rho, dims=(2, 2))
-        assert abs(mi.didt(state, constant_rates(1.0, 1.0, 1.0), 0.5)) < 1e-9
+        assert abs(didt(state, constant_rates(1.0, 1.0, 1.0), 0.5)) < 1e-9
 
     def test_near_bell_decreases_under_cp_rates(self):
         # the pure Bell state itself sits on the boundary where the
         # derivative diverges; just inside, CP dynamics must lose information
         mat = 0.95 * max_entangled_state(2).matrix + 0.05 * np.eye(4) / 4.0
         state = DensityMatrix(matrix=mat, dims=(2, 2))
-        assert mi.didt(state, constant_rates(1.0, 1.0, 1.0), 0.5) < 0.0
+        assert didt(state, constant_rates(1.0, 1.0, 1.0), 0.5) < 0.0
 
     def test_boundary_state_rejected(self):
         with pytest.raises(BoundaryStateError):
-            mi.didt(max_entangled_state(2), constant_rates(1.0, 1.0, 1.0), 0.5)
+            didt(max_entangled_state(2), constant_rates(1.0, 1.0, 1.0), 0.5)
         with pytest.raises(BoundaryStateError):
-            mi.didt_finite_difference(max_entangled_state(2), eternal_rates(), 0.5)
+            didt_finite_difference(max_entangled_state(2), eternal_rates(), 0.5)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
-            mi.didt(maximally_mixed((2, 3)), eternal_rates(), 0.5)
+            didt(maximally_mixed((2, 3)), eternal_rates(), 0.5)
 
     @pytest.mark.parametrize("rates,t", PRESETS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_chain_rule_matches_finite_difference(self, rates, t, seed):
         state = interior_state(seed)
-        chain = mi.didt(state, rates, t)
-        fd = mi.didt_finite_difference(state, rates, t)
+        chain = didt(state, rates, t)
+        fd = didt_finite_difference(state, rates, t)
         assert chain == pytest.approx(fd, abs=1e-6)
 
     def test_batch_matches_singles_and_flags_boundary(self):
@@ -171,7 +181,7 @@ class TestDidt:
         mats = np.stack([st.matrix for st in states] + [max_entangled_state(2).matrix])
         vals = mi.didt_batch(mats, rates, t)
         for got, st in zip(vals[:2], states):
-            assert got == pytest.approx(mi.didt(st, rates, t), abs=1e-12)
+            assert got == pytest.approx(didt(st, rates, t), abs=1e-12)
         assert np.isnan(vals[2])
 
     def test_batch_shape_guard(self):
@@ -179,41 +189,12 @@ class TestDidt:
             mi.didt_batch(np.eye(3)[None], eternal_rates(), 0.5)
 
 
-def spectral_fd(base, dirs, f, a, step):
-    """Central-difference gradient and Hessian of f(spectrum(A(a)))."""
-
-    def val(x):
-        mat = np.array(base, dtype=complex)
-        for xi, d in zip(x, dirs):
-            mat += xi * d
-        return f.value(np.linalg.eigvalsh(mat))
-
-    m = a.size
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        grad[i] = (val(a + e) - val(a - e)) / (2.0 * step)
-        hess[i, i] = (val(a + e) - 2.0 * val(a) + val(a - e)) / step**2
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei = np.zeros(m)
-            ej = np.zeros(m)
-            ei[i] = step
-            ej[j] = step
-            hess[i, j] = hess[j, i] = (
-                val(a + ei + ej) - val(a + ei - ej) - val(a - ei + ej) + val(a - ei - ej)
-            ) / (4.0 * step**2)
-    return grad, hess
-
-
 class TestSpectralDerivatives:
     def test_trace_function_gradient_and_flat_hessian(self):
         rng = np.random.default_rng(3)
         dirs = [random_hermitian(rng, 3) for _ in range(2)]
         fam = (3.0 * np.eye(3) + 0.1 * random_hermitian(rng, 3), dirs)
-        res = mi.spectral_derivatives(*fam, mi.trace_function(), np.array([0.2, -0.1]))
+        res = mi.spectral_derivatives(*fam, trace_function(), np.array([0.2, -0.1]))
         for got, b in zip(res.gradient, dirs):
             assert got == pytest.approx(np.trace(b).real, abs=1e-12)
         assert np.max(np.abs(res.hessian)) < 1e-12
@@ -367,8 +348,8 @@ class TestZeroEigenspace:
     @pytest.mark.parametrize("rates,t", PRESETS)
     @pytest.mark.parametrize("a0,coords", CASES)
     def test_closed_form_matches_didt(self, rates, t, a0, coords):
-        closed = mi.zero_eigenspace_didt(a0, coords, rates, t)
-        chain = mi.didt(mi.zero_eigenspace_state(a0, coords), rates, t)
+        closed = zero_eigenspace_didt(a0, coords, rates, t)
+        chain = didt(zero_eigenspace_state(a0, coords), rates, t)
         assert closed == pytest.approx(chain, abs=1e-6)
 
     def test_eternal_never_positive_on_sampled_coordinates(self):
@@ -378,7 +359,7 @@ class TestZeroEigenspace:
             a0 = float(rng.uniform(-0.2, 0.2))
             coords = tuple(rng.uniform(-0.08, 0.08, size=6))
             try:
-                value = mi.zero_eigenspace_didt(a0, coords, eternal_rates(), 1.0)
+                value = zero_eigenspace_didt(a0, coords, eternal_rates(), 1.0)
             except InvalidStateError:
                 continue
             assert value <= 1e-10
@@ -387,26 +368,26 @@ class TestZeroEigenspace:
     def test_classical_diagonal_case_matches_didt(self):
         # a_0 = a_4 = a_8 = 0 keeps the state diagonal: a two-bit distribution
         rates, t = constant_rates(1.0, 1.0, 1.0), 0.3
-        closed = mi.zero_eigenspace_didt(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.1), rates, t)
-        chain = mi.didt(mi.zero_eigenspace_state(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.1)), rates, t)
+        closed = zero_eigenspace_didt(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.1), rates, t)
+        chain = didt(zero_eigenspace_state(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.1)), rates, t)
         assert closed == pytest.approx(chain, abs=1e-9)
         assert closed < 0.0
 
     def test_pure_a3_direction_is_product_and_flat(self):
         rates, t = constant_rates(1.0, 1.0, 1.0), 0.3
-        closed = mi.zero_eigenspace_didt(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.0), rates, t)
-        state = mi.zero_eigenspace_state(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.0))
-        assert mi.mutual_information(state) == pytest.approx(0.0, abs=1e-12)
+        closed = zero_eigenspace_didt(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.0), rates, t)
+        state = zero_eigenspace_state(0.0, (0.0, 0.0, 0.08, 0.0, 0.0, 0.0))
+        assert mutual_information(state) == pytest.approx(0.0, abs=1e-12)
         assert closed == pytest.approx(0.0, abs=1e-12)
-        assert mi.didt(state, rates, t) == pytest.approx(0.0, abs=1e-9)
+        assert didt(state, rates, t) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateDirectionError):
-            mi.zero_eigenspace_didt(0.1, (0.0, 0.0, 0.0, 0.01, 0.0, 0.05), eternal_rates(), 1.0)
+            zero_eigenspace_didt(0.1, (0.0, 0.0, 0.0, 0.01, 0.0, 0.05), eternal_rates(), 1.0)
 
     def test_exterior_coordinates_rejected(self):
         with pytest.raises(InvalidStateError):
-            mi.zero_eigenspace_didt(0.2, (0.3, 0.3, 0.3, 0.2, 0.2, 0.2), eternal_rates(), 1.0)
+            zero_eigenspace_didt(0.2, (0.3, 0.3, 0.3, 0.2, 0.2, 0.2), eternal_rates(), 1.0)
 
     @given(
         a1=st.floats(-0.1, 0.1),
@@ -417,12 +398,12 @@ class TestZeroEigenspace:
     def test_shrink_rate_nonnegative_under_p_divisibility(self, a1, a2, a3):
         if a1 * a1 + a2 * a2 + a3 * a3 < 1e-12:
             return
-        assert mi.radius_shrink_rate((a1, a2, a3), eternal_rates(), 1.0) >= 0.0
-        assert mi.radius_shrink_rate((a1, a2, a3), constant_rates(1, 1, 1), 0.5) >= 0.0
+        assert radius_shrink_rate((a1, a2, a3), eternal_rates(), 1.0) >= 0.0
+        assert radius_shrink_rate((a1, a2, a3), constant_rates(1, 1, 1), 0.5) >= 0.0
 
     def test_shrink_rate_zero_direction_rejected(self):
         with pytest.raises(DegenerateDirectionError):
-            mi.radius_shrink_rate((0.0, 0.0, 0.0), eternal_rates(), 1.0)
+            radius_shrink_rate((0.0, 0.0, 0.0), eternal_rates(), 1.0)
 
 
 class TestBoundaryFlatness:
@@ -434,11 +415,11 @@ class TestBoundaryFlatness:
         rho_s = random_density_matrix(rng, 2)
         mat = np.kron(np.diag([1.0, 0.0]), rho_s.matrix).astype(complex)
         state = DensityMatrix(matrix=mat, dims=(2, 2))
-        coords = mi.coords_from_state(state)
+        coords = coords_from_state(state)
         assert coords.a[12] == pytest.approx(0.25, abs=1e-12)
-        assert mi.mutual_information(state) <= 1e-10
+        assert mutual_information(state) <= 1e-10
         ch = ExtendedChannel(intermediate_map(eternal_rates(), 0.3, 0.9), (2,))
-        assert mi.mutual_information(ch.apply_state(state)) <= 1e-10
+        assert mutual_information(ch.apply_state(state)) <= 1e-10
 
 
 class TestNeighborhoodScan:
@@ -540,9 +521,9 @@ class TestNonFiniteInputs:
 
     def test_mutinfo_api_rejects_nan_time(self):
         with pytest.raises(NonFiniteError):
-            mi.didt(interior_state(0), eternal_rates(), math.nan)
+            didt(interior_state(0), eternal_rates(), math.nan)
         with pytest.raises(NonFiniteError):
-            mi.radius_shrink_rate((0.1, 0.0, 0.0), eternal_rates(), math.nan)
+            radius_shrink_rate((0.1, 0.0, 0.0), eternal_rates(), math.nan)
         with pytest.raises(NonFiniteError):
             mi.hessian_at_stationary(eternal_rates(), math.nan, 0.0)
         with pytest.raises(NonFiniteError):
@@ -792,12 +773,12 @@ class TestBurstComposition:
             mats = []
             while len(mats) < 60:
                 raw = random_density_matrix(rng, 4)
-                coords = mi.coords_from_state(
+                coords = coords_from_state(
                     DensityMatrix(matrix=raw.matrix, dims=(2, 2))
                 ).a.copy()
                 coords[[4, 8, 12]] = 0.0  # maximally mixed ancilla side
                 try:
-                    state = mi.state_from_coords(mi.PauliBasisCoordinates(a=coords))
+                    state = state_from_coords(PauliBasisCoordinates(a=coords))
                 except InvalidStateError:
                     continue
                 mats.append(ch.apply_state(state).matrix)

@@ -34,7 +34,6 @@ from backflow.linalg import (
     SIGMA_Z,
     max_entangled_state,
     maximally_mixed,
-    partial_trace,
     partial_transpose,
     pure_state,
     trace_norm,
@@ -49,6 +48,7 @@ from backflow.probe import (
     scan_backflow_grid,
     trace_norm_expansion_direction,
 )
+from oracles import partial_trace
 
 ETERNAL = eternal_rates()
 # eternal grid point where no qubit-ancilla witness exists despite a
