@@ -112,30 +112,22 @@ def construct_me_povm(state: DensityMatrix, n_outputs: int = 2) -> Povm:
     """
     if n_outputs < 2:
         raise DegenerateSplitError("need at least two outputs")
-    dec = hermitian_eig(state.matrix)
-    order = np.argsort(dec.eigenvalues)[::-1]
-    lam = np.clip(dec.eigenvalues[order], 0.0, None)
-    vecs = dec.eigenvectors[:, order]
-    d = lam.size
+    w, u = hermitian_eig(state.matrix)
+    order = np.argsort(w)[::-1]
+    lam = np.clip(w[order], 0.0, None)
+    vecs = u[:, order]
     edges = np.concatenate([[0.0], np.cumsum(lam)])
     if edges[-1] <= 0:
         raise DegenerateSplitError("state has no probability mass")
     edges = edges / edges[-1]
     lam_norm = np.diff(edges)
 
-    weights = np.zeros((n_outputs, d))
-    for i in range(n_outputs):
-        lo, hi = i / n_outputs, (i + 1) / n_outputs
-        for j in range(d):
-            a, b = edges[j], edges[j + 1]
-            overlap = max(0.0, min(hi, b) - max(lo, a))
-            if overlap > 0.0:
-                if lam_norm[j] <= 0.0:
-                    raise DegenerateSplitError("fractional split hit a zero eigenvalue")
-                weights[i, j] = overlap / lam_norm[j]
-    for j in range(d):  # zero-mass levels: park them in the last effect
-        if lam_norm[j] <= 0.0:
-            weights[-1, j] = 1.0
+    # overlap[i, j] of piece [i/n, (i+1)/n] with level [edges[j], edges[j+1]];
+    # it is positive only where edges[j+1] > edges[j], so lam_norm[j] > 0 there
+    cuts = np.arange(n_outputs + 1)[:, None] / n_outputs
+    overlap = np.minimum(cuts[1:], edges[1:]) - np.maximum(cuts[:-1], edges[:-1])
+    weights = np.divide(overlap, lam_norm, out=np.zeros_like(overlap), where=overlap > 0.0)
+    weights[-1, lam_norm <= 0.0] = 1.0  # zero-mass levels: park them in the last effect
     # guard against rounding drift in the partition of unity
     weights[-1] += 1.0 - weights.sum(axis=0)
 
@@ -396,9 +388,7 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
     direction, so a valid equiprobable measurement attains it.
     """
     budget = budget or OptimizerBudget()
-    mat, d_meas, d_rest = _bipartition(state, measured)
-    if d_meas != 2:
-        raise DimensionMismatchError("qubit path requires a 2-dimensional measured side")
+    mat, _, d_rest = _bipartition(state, measured)
     kernels = [_conditional_kernel(mat, 2, d_rest, p) for p in PAULIS]
     rho_rest = kernels[0]
     r_bloch = np.array([float(np.trace(k).real) for k in kernels[1:]])
@@ -721,31 +711,34 @@ def _two_output_me_flag_exact(state: DensityMatrix) -> float:
     return max(branch(1.0), branch(-1.0), 0.0)
 
 
-def correlation_CA2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
-                    budget: OptimizerBudget | None = None) -> float:
-    """Two-output equiprobable-measurement correlation, measuring the A side."""
-    _, d_meas, _ = _bipartition(state, a_factors)
-    if d_meas == 2:
-        return _two_output_me_qubit(state, a_factors, budget)
-    return _two_output_me_general(state, a_factors, budget)
+def _two_output_me(state: DensityMatrix, measured: tuple[int, ...],
+                   budget: OptimizerBudget | None) -> float:
+    """Best two-output equiprobable value measuring the given factors.
 
-
-def correlation_CB2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
-                    budget: OptimizerBudget | None = None) -> float:
-    """Same measure, measuring everything except the A side."""
-    b_factors = tuple(k for k in range(len(state.dims)) if k not in tuple(a_factors))
-    _, d_meas, _ = _bipartition(state, b_factors)
+    The qubit sphere search when the measured side has dimension 2, the exact
+    dual when it excludes a flag (factor 0) that is classical, and the general
+    alternating ascent otherwise.
+    """
+    _, d_meas, _ = _bipartition(state, measured)
     if d_meas == 2:
-        return _two_output_me_qubit(state, b_factors, budget)
-    if tuple(a_factors) == (0,) and _is_flag_diagonal(state):
+        return _two_output_me_qubit(state, measured, budget)
+    if 0 not in measured and _is_flag_diagonal(state):
         return _two_output_me_flag_exact(state)
-    return _two_output_me_general(state, b_factors, budget)
+    return _two_output_me_general(state, measured, budget)
 
 
-def correlation_C2(state: DensityMatrix, a_factors: Sequence[int] = (0,),
-                   budget: OptimizerBudget | None = None) -> float:
-    return max(correlation_CA2(state, a_factors, budget),
-               correlation_CB2(state, a_factors, budget))
+def correlation_CA2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
+    """Two-output equiprobable-measurement correlation, measuring side A (factor 0)."""
+    return _two_output_me(state, (0,), budget)
+
+
+def correlation_CB2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
+    """Same measure, measuring side B (every factor but the first)."""
+    return _two_output_me(state, tuple(range(1, len(state.dims))), budget)
+
+
+def correlation_C2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
+    return max(correlation_CA2(state, budget), correlation_CB2(state, budget))
 
 
 # --- searches with more than two outputs -----------------------------------
@@ -822,8 +815,7 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     """
     if max_outputs < 2 or max_outputs > 4:
         raise DimensionMismatchError("max_outputs must be between 2 and 4")
-    a_factors = (0,)
-    best = correlation_C2(state, a_factors, budget)
+    best = correlation_C2(state, budget)
     flaggy = _is_flag_diagonal(state)
     # Measuring a uniform classical flag (p0 = 1/2) with n >= 3 outputs never
     # beats CA2, so that term is skipped. With D = B0 - B1 (Tr D = 0 and
@@ -835,7 +827,7 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     # first Fibonacci point alone has v_z = 63/64: CA2 >= 63 T/128 > T/3. Hence
     # (1 + T)/n - 1/2 <= T/2 - (1 + T)/6 = T/3 - 1/6 lies at least 1/6 below CA2.
     uniform_flag = flaggy and max(abs(p - 0.5) for p in _flag_blocks(state)[2:]) < 1e-9
-    searched = [] if uniform_flag else [(a_factors, state.dim // state.dims[0])]
+    searched = [] if uniform_flag else [((0,), state.dim // state.dims[0])]
     # Measuring side B opposite a classical flag with n >= 3 outputs never
     # beats CB2, whatever the flag marginal, so that term is skipped. The flag
     # is classical, so a POVM on B guesses max_i Tr(B0 P_i) + max_j Tr(B1 P_j)

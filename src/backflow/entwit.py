@@ -20,9 +20,8 @@ from .channels import (
     RateProfile,
     PauliChannelMap,
     choi_matrix,
-    choi_min_eigenvalue,
+    classify_interval,
     decay_factors,
-    intermediate_map,
     is_cp,
     is_cp_divisible_at,
     is_p_divisible_at,
@@ -36,14 +35,6 @@ from .probe import BackflowReport, detect_backflow
 NEGATIVITY_TOL = 1e-10
 INTERMEDIATE_NEG_TOL = 1e-8
 _PRE_SAMPLES = 65
-
-__all__ = [
-    "NEGATIVITY_TOL",
-    "EntanglementBlindReport",
-    "is_entanglement_breaking",
-    "negativity",
-    "scenario_entanglement_blind",
-]
 
 
 def _negativity_raw(matrix: np.ndarray, dims: tuple[int, ...]) -> float:
@@ -176,21 +167,16 @@ def scenario_entanglement_blind(
         )
 
     n = times.size
-
-    def row(i: int) -> tuple[float, float]:
-        t = float(times[i])
-        neg = _negativity_raw(choi_matrix(decay_factors(composite, 0.0, t)), (2, 2))
-        if i + 1 < n:
-            upper = float(times[i + 1])
-        else:
-            upper = min(t + float(times[i] - times[i - 1]), composite.domain_end)
-        if upper > t:
-            chi = choi_min_eigenvalue(intermediate_map(composite, t, upper))
-        else:
-            chi = 0.0
-        return neg, chi
-
-    negativities, choi_mins = zip(*[row(i) for i in range(n)])
+    ts = times.tolist()
+    negativities = tuple(
+        _negativity_raw(choi_matrix(decay_factors(composite, 0.0, t)), (2, 2)) for t in ts
+    )
+    # the last step repeats the one before it, clipped at the domain end; a
+    # zero-width step is the identity map, whose Choi minimum is exactly 0.0
+    last = min(ts[-1] + (ts[-1] - ts[-2]), composite.domain_end)
+    choi_mins = tuple(
+        v.choi_min_eig for v in classify_interval(composite, zip(ts, [*ts[1:], last]))
+    )
 
     after = times >= switch_time - 1e-12
     blind = bool(np.all(np.asarray(negativities)[after] <= NEGATIVITY_TOL))
@@ -203,17 +189,17 @@ def scenario_entanglement_blind(
     noncp = tau_star is not None
 
     backflow = None
-    c2_values = tuple(0.0 for _ in range(n))
+    c2_values = (0.0,) * n
     if noncp:
-        ti = float(times[tau_star])
-        dt = float(times[tau_star + 1]) - ti
+        ti = ts[tau_star]
+        dt = ts[tau_star + 1] - ti
         backflow = detect_backflow(composite, ti, dt, epsilon=epsilon, budget=budget)
         if backflow.pair is not None:
-            c2_values = tuple(backflow.pair.distance_at(composite, float(t)) for t in times)
+            c2_values = tuple(backflow.pair.distance_at(composite, t) for t in ts)
 
     return EntanglementBlindReport(
         switch_time=float(switch_time),
-        times=tuple(float(t) for t in times),
+        times=tuple(ts),
         negativities=negativities,
         choi_min_intermediate=choi_mins,
         c2_values=c2_values,

@@ -30,27 +30,19 @@ STATE_TRACE_TOL = 1e-12
 STATE_PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order, eigenvectors as matching columns."""
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and eigenvector columns u, as np.linalg.eigh.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError if max |M - M^dagger| exceeds HERMITICITY_TOL;
-    a solver failure propagates as numpy's LinAlgError.
+    Raises DimensionMismatchError unless the matrix is square, and
+    NotHermitianError if max |M - M^dagger| exceeds HERMITICITY_TOL; a
+    solver failure propagates as numpy's LinAlgError.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {matrix.shape}")
     if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from Hermitian by more than {HERMITICITY_TOL}")
-    w, u = np.linalg.eigh(matrix)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=u)
+    return np.linalg.eigh(matrix)
 
 
 def tensor_product(*operators: np.ndarray) -> np.ndarray:

@@ -122,25 +122,20 @@ def spectral_derivatives(
     directions: Sequence[np.ndarray],
     f: SpectralFunction,
     a: np.ndarray,
-    tie_break_direction: int = 0,
 ) -> SpectralDerivativeResult:
     """Gradient and Hessian of f(spectrum(A(a))) at a, for A(a) = base + sum_i a_i d_i.
 
     Eigenvectors inside a degenerate cluster are fixed by diagonalizing the
-    first parameter direction with a non-scalar projection onto the cluster,
-    starting the search at tie_break_direction; the derivatives themselves do
-    not depend on this choice and re-running with another start index is a
-    cheap consistency check.
+    first parameter direction with a non-scalar projection onto the cluster;
+    the derivatives themselves do not depend on this choice, so passing the
+    directions in another order is a cheap consistency check.
     """
     a = np.asarray(a, dtype=float)
     firsts = [np.asarray(d, dtype=complex) for d in directions]
     mat = np.array(base, dtype=complex)
     for ai, d in zip(a, firsts):
         mat += ai * d
-    m = len(firsts)
-    dec = hermitian_eig(mat)
-    lam = dec.eigenvalues.copy()
-    u = dec.eigenvectors.copy()
+    lam, u = hermitian_eig(mat)
     n = lam.size
 
     clusters = _cluster_indices(lam, DEGENERACY_TOL)
@@ -148,9 +143,8 @@ def spectral_derivatives(
         if len(cluster) < 2:
             continue
         cols = np.array(cluster)
-        for shift in range(m):
-            idx = (tie_break_direction + shift) % m
-            block = u[:, cols].conj().T @ firsts[idx] @ u[:, cols]
+        for d in firsts:
+            block = u[:, cols].conj().T @ d @ u[:, cols]
             block = 0.5 * (block + block.conj().T)
             scalar = (np.trace(block) / len(cluster)) * np.eye(len(cluster))
             if np.max(np.abs(block - scalar)) > 1e-12:
@@ -633,8 +627,9 @@ def neighborhood_didt(
     stationary state; entries whose state leaves the interior of the state
     set are NaN. With threads > 1 the samples are split into
     min(threads, cores) batches evaluated in parallel; the values do not
-    depend on it. A non-finite t or radius raises NonFiniteError, a negative
-    radius or a sample count outside [1, 2**30] PreconditionError.
+    depend on it. A non-finite t or radius raises NonFiniteError; a negative
+    radius, a sample count outside [1, 2**30] or a ball with no interior
+    sample, where no state is checked, raises PreconditionError.
     """
     _check_a12(a_12)
     if not math.isfinite(radius):
@@ -652,8 +647,15 @@ def neighborhood_didt(
     if batches > 1:
         chunks = np.array_split(mats, batches)
         with ThreadPoolExecutor(max_workers=batches) as pool:
-            return np.concatenate(list(pool.map(lambda c: didt_batch(c, rates, t), chunks)))
-    return didt_batch(mats, rates, t)
+            values = np.concatenate(list(pool.map(lambda c: didt_batch(c, rates, t), chunks)))
+    else:
+        values = didt_batch(mats, rates, t)
+    if np.isnan(values).all():
+        raise PreconditionError(
+            f"no sampled state lies inside the state set at t={t:g}: radius={radius:g} "
+            f"admits no interior state around a_12={a_12:g}"
+        )
+    return values
 
 
 def neighborhood_scan(
@@ -667,21 +669,15 @@ def neighborhood_scan(
 ) -> NeighborhoodScanReport:
     """Fraction of sampled neighbourhood states with didt above tolerance.
 
-    Summarizes neighborhood_didt: points that leave the state set are
-    dropped from the denominator. A NaN or infinite tolerance raises
-    NonFiniteError; a radius at which every sample leaves the state set
-    raises PreconditionError, since no state would have been checked.
+    Summarizes neighborhood_didt, whose errors it passes on: points that
+    leave the state set are dropped from the denominator. A NaN or infinite
+    tolerance raises NonFiniteError.
     """
     if not math.isfinite(tolerance):
         raise NonFiniteError(f"tolerance must be finite, got {tolerance}")
     values = neighborhood_didt(rates, t, a_12, radius, samples, seed=seed)
     valid = ~np.isnan(values)
     n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise PreconditionError(
-            f"no sampled state lies inside the state set: radius={radius} admits "
-            f"no interior state around a_12={a_12}"
-        )
     good = values[valid]
     violations = int((good > tolerance).sum())
     return NeighborhoodScanReport(

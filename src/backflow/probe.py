@@ -339,7 +339,7 @@ def detect_backflow(
     crosscheck_ok = True
     for t_eval, want in ((tau, c2_closed_before), (tau + delta_t, c2_closed_after)):
         evolved = evolve_probe(probe, rates, t_eval)
-        got = correlation_CA2(evolved.matrix, a_factors=(0,), budget=budget)
+        got = correlation_CA2(evolved.matrix, budget=budget)
         # both values scale with epsilon; the probe's entries do not, so the
         # optimizer's rounding leaves an absolute floor
         if abs(got - want) > CROSSCHECK_TOL * epsilon + 1e-12:

@@ -7,8 +7,9 @@ here are reached by the tests alone. By the library module they check:
 - `linalg`: partial trace, trace distance and von Neumann entropy;
 - `channels`: composition of Pauli maps and the random-unitary GKSL
   generator, whose integrated dynamics `decay_factors` must reproduce;
-- `ensembles`: measurement on a subsystem and the Helstrom value for two
-  equiprobable states;
+- `ensembles`: measurement on a subsystem, the Helstrom value for two
+  equiprobable states, and the level-by-level loop form of
+  `construct_me_povm`;
 - `mutinfo`: Pauli-product coordinates, the mutual information, the
   single-state `didt`, its finite-difference oracle, and the MI no-go's
   closed form for dI/dt on the Hessian's zero eigenspace;
@@ -40,6 +41,7 @@ from backflow.ensembles import (
 )
 from backflow.errors import (
     BackflowError,
+    DegenerateSplitError,
     DimensionMismatchError,
     InvalidStateError,
     SubsystemIndexError,
@@ -49,6 +51,7 @@ from backflow.linalg import (
     STATE_PSD_TOL,
     DensityMatrix,
     as_matrix,
+    hermitian_eig,
     maximally_mixed,
     trace_norm,
 )
@@ -236,6 +239,44 @@ def measure_on_subsystem(state: DensityMatrix, povm: Povm, side=0) -> StateEnsem
 def guessing_probability_two(state_a: DensityMatrix, state_b: DensityMatrix) -> float:
     """Optimal guessing probability for two equiprobable states."""
     return 0.25 * (2.0 + 2.0 * trace_distance(state_a, state_b))
+
+
+def construct_me_povm_loop(state: DensityMatrix, n_outputs: int = 2) -> Povm:
+    """construct_me_povm with its weights filled one (effect, level) pair at a time.
+
+    Same interval construction, same operations in the same order, so its
+    effects must equal the library's bit for bit.
+    """
+    if n_outputs < 2:
+        raise DegenerateSplitError("need at least two outputs")
+    w, u = hermitian_eig(state.matrix)
+    order = np.argsort(w)[::-1]
+    lam = np.clip(w[order], 0.0, None)
+    vecs = u[:, order]
+    d = lam.size
+    edges = np.concatenate([[0.0], np.cumsum(lam)])
+    if edges[-1] <= 0:
+        raise DegenerateSplitError("state has no probability mass")
+    edges = edges / edges[-1]
+    lam_norm = np.diff(edges)
+
+    weights = np.zeros((n_outputs, d))
+    for i in range(n_outputs):
+        lo, hi = i / n_outputs, (i + 1) / n_outputs
+        for j in range(d):
+            a, b = edges[j], edges[j + 1]
+            overlap = max(0.0, min(hi, b) - max(lo, a))
+            if overlap > 0.0:
+                if lam_norm[j] <= 0.0:
+                    raise DegenerateSplitError("fractional split hit a zero eigenvalue")
+                weights[i, j] = overlap / lam_norm[j]
+    for j in range(d):  # zero-mass levels: park them in the last effect
+        if lam_norm[j] <= 0.0:
+            weights[-1, j] = 1.0
+    weights[-1] += 1.0 - weights.sum(axis=0)
+
+    effects = tuple((vecs * wt) @ vecs.conj().T for wt in weights)
+    return Povm(effects=effects)
 
 
 # ---------------------------------------------------------------------------

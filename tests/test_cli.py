@@ -404,9 +404,9 @@ class TestScenarioRuns:
         budgets = []
         crosscheck = probe.correlation_CA2
 
-        def recording(state, a_factors, budget=None):
+        def recording(state, budget=None):
             budgets.append(budget)
-            return crosscheck(state, a_factors=a_factors, budget=budget)
+            return crosscheck(state, budget=budget)
 
         monkeypatch.setattr(probe, "correlation_CA2", recording)
         cfg = base_config("entanglement-blind")

@@ -43,7 +43,12 @@ from backflow.linalg import (
     tensor_product,
     trace_norm,
 )
-from oracles import guessing_probability_two, measure_on_subsystem, partial_trace
+from oracles import (
+    construct_me_povm_loop,
+    guessing_probability_two,
+    measure_on_subsystem,
+    partial_trace,
+)
 
 SMALL_BUDGET = OptimizerBudget(seeds=4, max_iterations=200)
 
@@ -127,6 +132,19 @@ class TestConstructMePovm:
     def test_too_few_outputs(self):
         with pytest.raises(DegenerateSplitError):
             construct_me_povm(maximally_mixed((2,)), n_outputs=1)
+
+    def test_matches_loop_form_bit_for_bit(self):
+        # a third of the states are rank-deficient, so zero-mass levels occur
+        rng = np.random.default_rng(20)
+        for k in range(600):
+            d, n = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            rank = int(rng.integers(1, d)) if k % 3 == 0 else d
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            mat = g @ g.conj().T
+            state = DensityMatrix(mat / np.trace(mat).real, (d,), _skip_checks=True)
+            got = construct_me_povm(state, n).effects
+            want = construct_me_povm_loop(state, n).effects
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, d, rank, n)
 
 
 class TestPovmValidation:
@@ -507,7 +525,7 @@ class TestQubitSphereSearch:
             d = (4, 6, 8)[k % 3]
             state = DensityMatrix(as_matrix(random_density_matrix(rng, d)), (2, d // 2))
             for side in ((0,), (1,)) if d == 4 else ((0,),):
-                got = correlation_CA2(state, side)
+                got = correlation_CA2(state) if side == (0,) else correlation_CB2(state)
                 floor = _grid_value(state, side, 20_000)
                 if not floor - 1e-9 <= got <= 0.5:
                     misses.append((k, side, floor - got))

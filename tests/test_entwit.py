@@ -26,7 +26,6 @@ from backflow.linalg import (
     max_entangled_state,
     maximally_mixed,
     random_density_matrix,
-    tensor_product,
 )
 
 
@@ -262,6 +261,18 @@ class TestScenario:
     def test_preconditions(self, prelude, continuation, switch, grid, match):
         with pytest.raises(PreconditionError, match=match):
             scenario_entanglement_blind(prelude, continuation, switch, grid)
+
+    def test_last_step_clipped_to_zero_width_reads_zero(self):
+        # the grid ends at the continuation's domain end, so the last interval
+        # has zero width: its map is the identity, whose Choi minimum is 0.0
+        rep = scenario_entanglement_blind(
+            constant_rates(2.0, 2.0, 2.0),
+            constant_rates(1.0, 1.0, -0.5, domain_end=2.0),
+            1.0,
+            np.linspace(0.1, 3.0, 9),
+        )
+        assert rep.choi_min_intermediate[-1] == 0.0
+        assert rep.certified
 
     def test_probe_state_stays_ppt(self, canonical_report):
         # reproduce clause (b) directly from channel factors

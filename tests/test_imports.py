@@ -17,7 +17,8 @@ from pathlib import Path
 import backflow
 from backflow import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "backflow"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "backflow"
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
@@ -101,9 +102,10 @@ def test_guards_see_dead_code():
 
 
 def test_every_import_is_used_or_exported():
+    """Over the package and the test modules alike."""
     offenders = {
-        path.name: names
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}

@@ -266,15 +266,16 @@ class TestSpectralDerivatives:
 
     def test_tie_break_choice_does_not_matter(self):
         rng = np.random.default_rng(33)
-        fam = (
-            0.25 * np.eye(4, dtype=complex), [0.1 * random_hermitian(rng, 4) for _ in range(3)]
-        )
-        first = mi.spectral_derivatives(*fam, mi.entropy_function(), np.zeros(3))
+        base = 0.25 * np.eye(4, dtype=complex)
+        dirs = [0.1 * random_hermitian(rng, 4) for _ in range(3)]
+        first = mi.spectral_derivatives(base, dirs, mi.entropy_function(), np.zeros(3))
+        # the degenerate cluster now takes its basis from dirs[1], not dirs[0]
         second = mi.spectral_derivatives(
-            *fam, mi.entropy_function(), np.zeros(3), tie_break_direction=1
+            base, dirs[1:] + dirs[:1], mi.entropy_function(), np.zeros(3)
         )
-        assert np.allclose(first.gradient, second.gradient, atol=1e-10)
-        assert np.allclose(first.hessian, second.hessian, atol=1e-10)
+        back = [2, 0, 1]  # position of each original direction in the rotated list
+        assert np.allclose(first.gradient, second.gradient[back], atol=1e-10)
+        assert np.allclose(first.hessian, second.hessian[np.ix_(back, back)], atol=1e-10)
 
     def test_divergent_curvature_on_degenerate_pair_rejected(self):
         sqrt_f = mi.SpectralFunction(
@@ -499,7 +500,8 @@ class TestNeighborhoodScan:
 
     def test_radius_without_interior_state_rejected(self):
         # every sample of a radius-5 ball leaves the state set: nothing is checked
-        assert np.isnan(mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, 5.0, 50)).all()
+        with pytest.raises(PreconditionError, match="no interior state"):
+            mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, 5.0, 50)
         with pytest.raises(PreconditionError, match="no interior state"):
             mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=5.0, samples=50)
 
