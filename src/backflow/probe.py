@@ -25,12 +25,11 @@ from .channels import (
     ExtendedChannel,
     PauliChannelMap,
     RateProfile,
+    choi_eigenvalues,
     choi_matrix,
-    choi_min_eigenvalue,
     decay_factors,
     intermediate_map,
     invert_channel,
-    is_cp,
 )
 from .ensembles import OptimizerBudget, correlation_CA2
 from .errors import (
@@ -43,11 +42,11 @@ from .errors import (
 )
 from .linalg import PHI_PLUS, DensityMatrix, maximally_mixed, trace_norm
 
-BACKFLOW_TOL = 1e-9
 CROSSCHECK_TOL = 1e-6
-_RATIO_GAIN = 1e-10
-# below this expansion the backflow would sit too close to BACKFLOW_TOL,
-# so detect_backflow upgrades to the three-level ancilla construction
+_RESOLUTION = 1e-10  # the smallest gain the ascent reports and the verdict resolves
+# below this expansion the qubit probe's gain would sit too close to the
+# verdict's resolution, so detect_backflow upgrades to the three-level
+# ancilla construction, whose gain is at least the Choi negativity
 _WEAK_RATIO_GAIN = 1e-5
 _SHRINK_LIMIT = 60
 _ASCENT_STEPS = 300
@@ -200,7 +199,7 @@ def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) ->
         values[active] = candidate_values[gain]
 
     best = int(np.argmax(values))
-    if values[best] <= 1.0 + _RATIO_GAIN:
+    if values[best] <= 1.0 + _RESOLUTION:
         raise ExpansionNotFoundError(
             "no trace-norm expanding direction found; the map looks CP",
             best_ratio=float(values[best]),
@@ -302,59 +301,57 @@ def detect_backflow(
     """Hunt for a correlation backflow across [tau, tau + delta_t].
 
     Builds the probe from the best trace-norm-expanding direction of the
-    intermediate map, evaluates the two-output correlation at both ends with
-    the closed form and the generic optimizer (cross-checked to 1e-6 times
-    epsilon), and compares the verdict with the Choi spectrum of the
-    intermediate map.
-    Both values scale with epsilon, so backflow means a relative gain above 1e-9.
+    intermediate map and evaluates the two-output correlation at both ends
+    with the closed form and the generic optimizer (cross-checked to 1e-6
+    times epsilon). Both values scale with epsilon, so the verdict reads
+    relative gains at one resolution, floor = max(1e-10, 2**-57 / epsilon),
+    the second term being the pull-back pair's rounding. Non-CP means a Choi
+    negativity N above floor and backflow a gain above floor. A gain lies in
+    [0, 2N] (the diamond norm) and the three-level probe reaches N, so the
+    report is inconclusive on a failed cross-check, on a non-CP map without
+    a resolved gain, on a CP map gaining at most 2 floor, or above 2N + floor.
     epsilon, the probe pair's trace distance, must lie in (0, 1].
     """
     _check_epsilon(epsilon)
     if tau < 0.0 or delta_t <= 0.0:
         raise TimeOrderViolationError("need 0 <= tau < tau + delta_t")
     ch = intermediate_map(rates, tau, tau + delta_t)
-    choi_min = choi_min_eigenvalue(ch)
-    cp = is_cp(ch)
+    choi_eigs = choi_eigenvalues(ch)
+    negativity = float(-choi_eigs[choi_eigs < 0.0].sum())
+    floor = max(_RESOLUTION, 2.0**-57 / epsilon)
 
-    direction = _best_direction(ch)
-    if direction is None:
-        # no expanding pair: with CP dynamics that is the expected outcome,
-        # against a non-CP Choi verdict it is an optimizer shortfall
-        return BackflowReport(
-            tau=float(tau),
-            delta_t=float(delta_t),
-            c2_before=0.0,
-            c2_after=0.0,
-            choi_min_eig=float(choi_min),
-            backflow_detected=False,
-            consistent=cp,
-            inconclusive=not cp,
-        )
-
-    pair = pull_back_pair(direction, rates, tau, epsilon)
-    probe = build_probe_state(pair)
-    c2_closed_before = pair.distance_at(rates, tau)
-    c2_closed_after = pair.distance_at(rates, tau + delta_t)
-
+    # with no expanding pair both c2 read 0.0: the expected outcome for a CP
+    # map, against a non-CP Choi verdict an optimizer shortfall
+    pair = None
+    c2_before = c2_after = 0.0
     crosscheck_ok = True
-    for t_eval, want in ((tau, c2_closed_before), (tau + delta_t, c2_closed_after)):
-        evolved = evolve_probe(probe, rates, t_eval)
-        got = correlation_CA2(evolved.matrix, budget=budget)
-        # both values scale with epsilon; the probe's entries do not, so the
-        # optimizer's rounding leaves an absolute floor
-        if abs(got - want) > CROSSCHECK_TOL * epsilon + 1e-12:
-            crosscheck_ok = False
+    direction = _best_direction(ch)
+    if direction is not None:
+        pair = pull_back_pair(direction, rates, tau, epsilon)
+        probe = build_probe_state(pair)
+        c2_before = pair.distance_at(rates, tau)
+        c2_after = pair.distance_at(rates, tau + delta_t)
+        for t_eval, want in ((tau, c2_before), (tau + delta_t, c2_after)):
+            evolved = evolve_probe(probe, rates, t_eval)
+            got = correlation_CA2(evolved.matrix, budget=budget)
+            # both values scale with epsilon; the probe's entries do not, so the
+            # optimizer's rounding leaves an absolute floor
+            if abs(got - want) > CROSSCHECK_TOL * epsilon + 1e-12:
+                crosscheck_ok = False
 
-    backflow = c2_closed_after > c2_closed_before * (1.0 + BACKFLOW_TOL)
+    noncp = negativity > floor
+    backflow = c2_after > c2_before * (1.0 + floor)
+    unresolved = backflow != noncp and (noncp or c2_after <= c2_before * (1.0 + 2.0 * floor))
+    beyond_diamond = c2_after > c2_before * (1.0 + 2.0 * negativity + floor)
     return BackflowReport(
         tau=float(tau),
         delta_t=float(delta_t),
-        c2_before=c2_closed_before,
-        c2_after=c2_closed_after,
-        choi_min_eig=float(choi_min),
+        c2_before=c2_before,
+        c2_after=c2_after,
+        choi_min_eig=float(choi_eigs[0]),
         backflow_detected=backflow,
-        consistent=backflow == (not cp),
-        inconclusive=not crosscheck_ok,
+        consistent=backflow == noncp,
+        inconclusive=not crosscheck_ok or unresolved or beyond_diamond,
         pair=pair,
     )
 

@@ -90,7 +90,7 @@ class TestConfigValidation:
             lambda c: c.__setitem__("profile", {"preset": "nope"}),
             lambda c: c.__setitem__("profile", {"preset": "constant", "rates": [1.0]}),
             lambda c: c.__setitem__("profile", "eternal"),
-            lambda c: c.__setitem__("tolerances", {"band": 0.0}),
+            lambda c: c.__setitem__("tolerances", {"didt": 0.0}),
             lambda c: c.__setitem__("tolerances", {"mystery": 1.0}),
             lambda c: c.__setitem__("epsilon", 0.0),
             lambda c: c.__setitem__("epsilon", 1.5),
@@ -102,6 +102,7 @@ class TestConfigValidation:
             lambda c: c.__setitem__("budget", {"restarts": 1}),
             lambda c: c.__setitem__("tolerances", {"negativity": 1e-10}),
             lambda c: c.__setitem__("budget", {"max_iterations": 5}),
+            lambda c: c.__setitem__("tolerances", {"band": 1e-8}),
         ],
     )
     def test_rejects_bad_fields(self, tmp_path, mutate):
@@ -192,12 +193,12 @@ class TestNonFiniteAndNonIntegralInput:
             lambda c, d: c.__setitem__("epsilon", None),
             lambda c, d: c.__setitem__("switch_time", "abc"),
             lambda c, d: c.__setitem__("switch_time", None),
-            lambda c, d: c.__setitem__("tolerances", {"band": "abc"}),
-            lambda c, d: c.__setitem__("tolerances", {"band": None}),
-            lambda c, d: c.__setitem__("tolerances", {"band": [1e-8]}),
+            lambda c, d: c.__setitem__("tolerances", {"didt": "abc"}),
+            lambda c, d: c.__setitem__("tolerances", {"didt": None}),
+            lambda c, d: c.__setitem__("tolerances", {"didt": [1e-8]}),
             lambda c, d: c.__setitem__("tolerances", [1e-8]),
             lambda c, d: c.__setitem__("switch_time", True),
-            lambda c, d: c.__setitem__("tolerances", {"band": True}),
+            lambda c, d: c.__setitem__("tolerances", {"didt": True}),
             lambda c, d: c["grid"].__setitem__("t_start", False),
             lambda c, d: c.__setitem__("profile", {"preset": "constant", "rates": [True, 1, 1]}),
             lambda c, d: c.__setitem__(
@@ -464,6 +465,23 @@ class TestExitCodes:
         cfg["profile"] = {"preset": "constant", "rates": [1.0, 1.0, 1.0]}
         assert run_cli(tmp_path, cfg) == EXIT_CONFIG
         assert "negative rate" in capsys.readouterr().err
+
+    def test_prelude_short_of_the_switch_is_exit_config(self, tmp_path, capsys):
+        cfg = base_config("entanglement-blind")
+        cfg["prelude"] = {"preset": "constant", "rates": [2.0, 2.0, 2.0], "domain_end": 0.5}
+        assert run_cli(tmp_path, cfg) == EXIT_CONFIG
+        assert "prelude domain must cover the switch time" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_near_cp_edge_backflow_row_is_detected(self, tmp_path):
+        # tau = 1e-6, dt = 1e-3: a Choi negativity of about 5e-10, read at the
+        # probe's resolution with no band around the CP edge
+        cfg = base_config("backflow")
+        cfg["grid"] = {"t_start": 1e-6, "t_end": 1.001e-3, "steps": 2}
+        assert run_cli(tmp_path, cfg) == EXIT_OK
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].endswith(",true,true")
 
     def test_argparse_requires_subcommand(self):
         with pytest.raises(SystemExit):

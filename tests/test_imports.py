@@ -1,7 +1,7 @@
-"""Code hygiene: no private cross-module imports, dead imports, helpers, knobs or
-parameters, no definition that no run path reaches, no scipy import on the way to
-`import backflow`, and a lazy package: `import backflow` loads no submodule and each
-CLI scenario only the modules it runs."""
+"""Code hygiene: no private cross-module imports, dead imports, knobs or parameters,
+no definition (private helpers included) that no run path reaches, no scipy import
+on the way to `import backflow`, and a lazy package: `import backflow` loads no
+submodule and each CLI scenario only the modules it runs."""
 
 from __future__ import annotations
 
@@ -67,22 +67,6 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used - exported)
 
 
-def unreferenced_private_helpers(source: str) -> list[str]:
-    """Module-level underscore names (defs, classes, constants) never read in the module."""
-    tree = ast.parse(source)
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
-    read = {
-        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }
-    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
-
-
 def test_guards_see_dead_code():
     assert unused_imports(
         "from __future__ import annotations\n"
@@ -93,12 +77,6 @@ def test_guards_see_dead_code():
         "np.eye(2)\n"
         "as_matrix(1)\n"
     ) == ["tensor_product"]
-    assert unreferenced_private_helpers(
-        "_TOL = 1e-9\n"
-        "def _lift(x):\n    return x\n"
-        "def _used(x):\n    return x < _TOL\n"
-        "def public():\n    return _used(1)\n"
-    ) == ["_lift"]
 
 
 def test_every_import_is_used_or_exported():
@@ -107,15 +85,6 @@ def test_every_import_is_used_or_exported():
         f"{path.parent.name}/{path.name}": names
         for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
         if (names := unused_imports(path.read_text(encoding="utf-8")))
-    }
-    assert offenders == {}
-
-
-def test_every_private_helper_is_referenced():
-    offenders = {
-        path.name: names
-        for path in sorted(SRC.glob("*.py"))
-        if (names := unreferenced_private_helpers(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 
@@ -136,11 +105,12 @@ def unreached_definitions(sources, root_text: str) -> list[str]:
     The roots are the names read by module-level statements other than defs
     and classes (so `cli._SCENARIOS` roots the scenario runners and
     `if __name__ == "__main__"` roots `main`), and every identifier in
-    root_text, in code or in strings. A reached definition reaches every
-    definition whose name it reads.
+    root_text, in code or in strings, that does not start with an
+    underscore: a private name that only root_text mentions is no run path.
+    A reached definition reaches every definition whose name it reads.
     """
     bodies: dict[str, list[ast.AST]] = {}
-    roots = set(re.findall(r"[A-Za-z_]\w*", root_text))
+    roots = {n for n in re.findall(r"[A-Za-z_]\w*", root_text) if n[0] != "_"}
     for source in sources:
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -190,9 +160,10 @@ def test_guard_sees_unreached_definition():
         "def _shifted(x):\n    return x + 1\n"
         "def oracle(x):\n    return _shifted(x)\n"
         "def traced():\n    return 0\n"
+        "def _hooked():\n    return 0\n"
         "RUNNERS = {'run': run}\n"
         "if __name__ == '__main__':\n    print(RUNNERS)\n"
-    ], "hooks = ['module.traced']") == ["_shifted", "oracle"]
+    ], "hooks = ['module.traced', 'module._hooked']") == ["_hooked", "_shifted", "oracle"]
 
 
 def test_every_definition_is_reached_from_a_run_root():

@@ -12,12 +12,16 @@ import backflow.probe as probe
 from backflow.channels import (
     ExtendedChannel,
     PauliChannelMap,
+    RateProfile,
+    choi_eigenvalues,
     choi_matrix,
     choi_min_eigenvalue,
     constant_rates,
     decay_factors,
     eternal_rates,
     intermediate_map,
+    is_cp,
+    table_rates,
 )
 from backflow.ensembles import correlation_C_general, correlation_CA2, correlation_CB2
 from backflow.errors import (
@@ -55,6 +59,30 @@ ETERNAL = eternal_rates()
 # clearly non-CP intermediate map (Choi minimum about -0.018)
 GAP_TAU = 2.0 / 9.0
 GAP_DT = 0.2
+# the CP edge of constant(1, 1, g) over any step of 0.1
+G_STAR = -0.0499168882164654
+
+
+def verdict_corpus() -> list[tuple[RateProfile, float, float]]:
+    """700 (rates, tau, delta_t) points, about half of them non-CP.
+
+    Five random intervals on each of 60 random table profiles whose map from
+    0 is CP at every grid time, then four presets on a 10x10 grid.
+    """
+    rng = np.random.default_rng(7)
+    knots = np.linspace(0.0, 3.0, 5)
+    times = np.linspace(0.0, 3.0, 121)[1:]
+    points = []
+    while len(points) < 300:
+        profile = table_rates(knots, rng.uniform(-1.5, 2.0, (5, 3)))
+        if all(is_cp(decay_factors(profile, 0.0, float(t))) for t in times):
+            intervals = zip(rng.uniform(0.0, 2.0, 5), rng.uniform(0.02, 0.9, 5))
+            points += [(profile, float(tau), float(dt)) for tau, dt in intervals]
+    presets = (ETERNAL, *(constant_rates(1.0, 1.0, g) for g in (-3.0, 1.0, -0.3)))
+    grid = list(itertools.product(np.linspace(0.0, 2.0, 10), np.linspace(0.2, 2.0, 10)))
+    for rates in presets:
+        points += [(rates, float(tau), float(dt)) for tau, dt in grid]
+    return points
 
 
 def expansion_ratio(ch: PauliChannelMap, direction: np.ndarray) -> float:
@@ -453,6 +481,49 @@ class TestDetectBackflow:
         assert not report.backflow_detected
         assert report.consistent
         assert not report.inconclusive
+
+    @pytest.mark.parametrize(
+        "rates, tau, dt",
+        [
+            *((ETERNAL, 0.5, dt) for dt in (5.6e-10, 1.0e-9, 1.8e-9, 3.2e-9)),
+            (ETERNAL, 1e-6, 1e-3),
+            (ETERNAL, 3.2e-7, 1e-3),
+            (constant_rates(1.0, 1.0, G_STAR - 1e-8), 0.3, 0.1),
+        ],
+        ids=["dt5.6e-10", "dt1e-9", "dt1.8e-9", "dt3.2e-9", "tau1e-6", "tau3.2e-7", "g-edge"],
+    )
+    def test_near_cp_edge_backflow_is_detected(self, rates, tau, dt):
+        # Choi negativities from 1.3e-10 to 7.4e-10, and each gain equals it
+        # to five digits: the verdict resolves both without a band
+        report = detect_backflow(rates, tau, dt)
+        assert report.backflow_detected
+        assert report.consistent
+        assert not report.inconclusive
+
+    def test_gain_beyond_the_diamond_bound_is_inconclusive(self, monkeypatch):
+        # no direction gains more than 2N, so a larger gain is a search fault
+        report = detect_backflow(ETERNAL, 1.0, 0.5)
+        gain = report.c2_after / report.c2_before - 1.0
+        assert report.backflow_detected and not report.inconclusive
+        eigs = np.array([-gain / 4.0, 0.25, 0.25, 0.5 + gain / 4.0])
+        monkeypatch.setattr(probe, "choi_eigenvalues", lambda ch: eigs)
+        faulty = detect_backflow(ETERNAL, 1.0, 0.5)
+        assert faulty.c2_after == report.c2_after
+        assert faulty.inconclusive
+
+    def test_verdict_corpus_slice(self):
+        # at epsilon 0.05 the Choi negativity above 1e-10 decides; at 1e-14
+        # the floor is 6.9e-4, the pair rounding turns the gain negative at
+        # points 68 and 247 of this slice, and a mismatch must read inconclusive
+        corpus = verdict_corpus()
+        for k in np.random.default_rng(8).choice(len(corpus), 80, replace=False):
+            rates, tau, dt = corpus[k]
+            eigs = choi_eigenvalues(intermediate_map(rates, tau, tau + dt))
+            fine = detect_backflow(rates, tau, dt, epsilon=0.05)
+            assert not fine.inconclusive, k
+            assert fine.backflow_detected == (-eigs[eigs < 0.0].sum() > 1e-10), k
+            coarse = detect_backflow(rates, tau, dt, epsilon=1e-14)
+            assert coarse.inconclusive or coarse.consistent, k
 
     def test_report_carries_its_probe_pair(self):
         report = detect_backflow(ETERNAL, 0.5, 0.5)
