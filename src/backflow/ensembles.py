@@ -6,14 +6,17 @@ ensembles such measurements prepare on the far side of a bipartite state, and
 the correlation quantifier built from them: the best guessing probability over
 equiprobable measurements minus the blind-guess baseline 1/2.
 
-Two-output measurements on a qubit side reduce to a search over the Bloch
-sphere. A batched minorize-maximize search refines a stack of starting
-directions together, one stacked eigensolve per step, and no step lowers any
-start; that is what makes it reliable enough to compare against closed forms
-at 1e-6. Two-output measurements on larger sides use a monotone alternating
-ascent. More outputs use a seesaw that alternates the far side's
-discrimination with pairwise updates of the measured side's effects, for at
-most budget.polish_maxfev rounds; every strategy it holds is exactly
+Two-output measurements on a qubit side reduce to a problem over the Bloch
+sphere. When the far side is a qubit too, its objective has a closed form
+and the maximum is found exactly: one 3x3 eigendecomposition, a secular
+equation and a few candidate directions. For larger far sides a batched
+minorize-maximize search refines a stack of starting directions together,
+one stacked eigensolve per step, and no step lowers any start; that is what
+makes it reliable enough to compare against closed forms at 1e-6.
+Two-output measurements on larger sides use a monotone alternating ascent.
+More outputs use a seesaw that alternates the far side's discrimination with
+pairwise updates of the measured side's effects, for at most
+budget.polish_maxfev rounds; every strategy it holds is exactly
 equiprobable, and it reports the best one's payoff.
 """
 
@@ -182,7 +185,9 @@ class OptimizerBudget:
     sample count. max_iterations: fixed-point steps per start, library calls
     of guessing_probability_bruteforce only (the n-output search passes its
     own; no scenario config sets it). polish_maxfev: qubit sphere-search steps
-    per start and n-output seesaw rounds. rng_seed: every random start.
+    per start (far sides of dimension 3 or more; a two-qubit half is solved
+    exactly and reads no field) and n-output seesaw rounds. rng_seed: every
+    random start.
     """
 
     seeds: int = 8
@@ -371,9 +376,12 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
                          budget: OptimizerBudget | None = None) -> float:
     """Best equiprobable-measurement value when the measured side is a qubit.
 
-    An equiprobable effect is a*1 + b v.sigma with a pinned by the constraint,
-    and the prepared-ensemble objective is linear in b, so the optimum sits at
-    the largest feasible b for each unit direction v:
+    _two_output_me runs it for far sides of dimension 3 or more; a qubit far
+    side goes to the exact _two_output_me_two_qubit, and the tests keep this
+    search as its independent oracle. An equiprobable effect is
+    a*1 + b v.sigma with a pinned by the constraint, and the
+    prepared-ensemble objective is linear in b, so the optimum sits at the
+    largest feasible b for each unit direction v:
     f(v) = ||H(v)||_1 / (2 (1 + |r.v|)) with H(v) = sum_k v_k A_k,
     A_k = K_k - r_k rho_rest, K_k the conditional kernel of sigma_k and r the
     measured side's Bloch vector.
@@ -415,6 +423,128 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
         if gain <= 1e-15:
             break
     return best
+
+
+_PAULI_T = np.stack(PAULIS).transpose(0, 2, 1)  # sigma_k^T, for Tr(rho sigma_k (x) sigma_l)
+
+
+def _secular_roots(m: list[float], a: list[float]) -> list[float]:
+    """Roots beta in (0, max m) of psi(beta) = sum_i a_i^2 beta^2 / (m_i - beta)^2 = 1.
+
+    The poles are the m_i > 0 with a_i != 0. On beta > 0 every term has second
+    derivative 2 a_i^2 m_i (m_i + 2 beta) / (m_i - beta)^4 >= 0, so psi is
+    convex between poles: it rises from psi(0) <= |a|^2 < 1 to the first pole,
+    falls towards |a|^2 after the last, and is U-shaped between two. A pole p
+    of weight A^2 (the sum of a_i^2 there) alone keeps psi >= 1 from
+    p / (1 -/+ A) to p. Newton's method started there moves away from the pole
+    and, psi being convex, never steps past a root: it stops at the root, or
+    shows that side has none by turning uphill or leaving the interval.
+    """
+    terms = [(ai * ai, mi) for ai, mi in zip(a, m) if ai != 0.0]
+    weight: dict[float, float] = {}
+    for a2, mi in terms:
+        if mi > 0.0:
+            weight[mi] = weight.get(mi, 0.0) + a2
+    poles = sorted(weight)
+    roots = []
+    for j, p in enumerate(poles):
+        amp = math.sqrt(weight[p])
+        sides = [(p / (1.0 + amp), poles[j - 1] if j else 0.0)]
+        if amp < 1.0:
+            sides.append((p / (1.0 - amp), poles[j + 1] if j + 1 < len(poles) else max(m)))
+        for x, bound in sides:
+            lo, hi = min(p, bound), max(p, bound)
+            for _ in range(100):
+                if not lo < x < hi:
+                    break
+                psi = slope = 0.0
+                for a2, mi in terms:
+                    t = x / (mi - x)
+                    psi += a2 * t * t
+                    slope += 2.0 * a2 * mi * t / ((mi - x) * (mi - x))
+                if psi <= 1.0:
+                    roots.append(x)
+                    break
+                if (slope > 0.0) != (x < p):
+                    break
+                step = (psi - 1.0) / slope
+                x -= step
+                if abs(step) <= 4e-16 * x:
+                    roots.append(x)
+                    break
+    return roots
+
+
+def _rim_direction(m: list[float], a: list[float]) -> list[float]:
+    """Unit y orthogonal to a (a != 0) that maximizes sum_i m_i y_i^2.
+
+    e1, e2 span a-perp; the answer is the top eigenvector of the 2x2
+    compression of diag(m) to that plane, at angle atan2(2 b12, b11 - b22) / 2.
+    """
+    norm = math.hypot(*a)
+    h = [x / norm for x in a]
+    k = min(range(3), key=lambda i: abs(h[i]))
+    e1 = [float(i == k) - h[k] * x for i, x in enumerate(h)]  # axis k minus its part along h
+    norm = math.hypot(*e1)
+    e1 = [x / norm for x in e1]
+    e2 = [h[1] * e1[2] - h[2] * e1[1], h[2] * e1[0] - h[0] * e1[2], h[0] * e1[1] - h[1] * e1[0]]
+    b11, b22, b12 = (sum(mi * x * z for mi, x, z in zip(m, p, q))
+                     for p, q in ((e1, e1), (e2, e2), (e1, e2)))
+    theta = 0.5 * math.atan2(2.0 * b12, b11 - b22)
+    return [math.cos(theta) * x + math.sin(theta) * z for x, z in zip(e1, e2)]
+
+
+def _two_output_me_two_qubit(mat: np.ndarray) -> float:
+    """Exact best equiprobable-measurement value when both sides are qubits.
+
+    mat is the 4x4 state with the measured qubit first. With r and s the two
+    Bloch vectors, T_kl = Tr rho (sigma_k (x) sigma_l) and C = T - r s^T, every
+    A_k of _two_output_me_qubit is (1/2) sum_l C_kl sigma_l, so
+    f(v) = ||C^T v|| / (2 (1 + |r.v|)). As f(-v) = f(v), the maximum lies in
+    the closed hemisphere r.v >= 0: inside it or on its rim r.v = 0.
+
+    Inside, a stationary point solves (M - beta) v = beta r with M = C C^T,
+    and there f = (1/2) sqrt(beta / (1 + r.v)) with beta <= m_max (as
+    4 f^2 <= m_max / (1 + r.v)^2). (With w = v / (1 + r.v) on the ellipsoid
+    ||w|| + r.w = 1 this is M w = beta (G w + r), G = 1 - r r^T.) In M's
+    eigenbasis (eigenvalues m_i, a = r in that basis) v has coordinates
+    y_j = beta a_j / (m_j - beta), and |y| = 1 is the secular equation of
+    _secular_roots. In the hard case beta = m_i, a_i = 0 and y_i is free:
+    y_i = +-sqrt(1 - sum_{j != i} y_j^2) where that is real. These points are
+    also the limits of the two roots beside a pole too weak to resolve in
+    floating point, such as the rounding left in an r that is 0; with r = 0
+    they are M's eigenvectors. On the rim, f = ||C^T v|| / 2 is largest at
+    _rim_direction. The value is the largest f over these candidates, each
+    taken at the unit v = u y / |y|, so a valid equiprobable measurement
+    attains it. Nothing divides by 1 - |r|^2: a pure marginal (|r| = 1) makes
+    the state a product, C = 0 and every candidate worth 0.
+    """
+    tensor = mat.reshape(2, 2, 2, 2)
+    expect = np.einsum("arbs,kab,lrs->kl", tensor, _PAULI_T, _PAULI_T).real
+    r_bloch = expect[1:, 0]
+    corr = expect[1:, 1:] - np.outer(r_bloch, expect[0, 1:])
+    m, u = np.linalg.eigh(corr @ corr.T)
+    m = np.maximum(m, 0.0).tolist()
+    a = (r_bloch @ u).tolist()
+
+    def resolvent(beta: float) -> list[float]:  # beta (M - beta)^+ r in the eigenbasis
+        return [beta * aj / (mj - beta) if mj != beta else 0.0 for aj, mj in zip(a, m)]
+
+    ys = [resolvent(beta) for beta in _secular_roots(m, a)]
+    for i, mi in enumerate(m):
+        y = resolvent(mi)
+        rest = 1.0 - sum(x * x for x in y)
+        if rest >= 0.0:
+            y[i] = math.sqrt(rest)
+            ys += [y, [-x if j == i else x for j, x in enumerate(y)]]
+    if any(a):
+        ys.append(_rim_direction(m, a))
+
+    def value(y: list[float]) -> float:  # ||C^T v|| / (2 (1 + |r.v|)) at v = u y / |y|
+        norm_ct = math.sqrt(sum(mi * x * x for mi, x in zip(m, y)))
+        return norm_ct / (2.0 * (math.hypot(*y) + abs(sum(ai * x for ai, x in zip(a, y)))))
+
+    return max(map(value, ys))
 
 
 def minimize(*args, **kwargs):
@@ -715,11 +845,14 @@ def _two_output_me(state: DensityMatrix, measured: tuple[int, ...],
                    budget: OptimizerBudget | None) -> float:
     """Best two-output equiprobable value measuring the given factors.
 
-    The qubit sphere search when the measured side has dimension 2, the exact
-    dual when it excludes a flag (factor 0) that is classical, and the general
-    alternating ascent otherwise.
+    The exact two-qubit solver when both sides have dimension 2 (budget is
+    unused there), the qubit sphere search when only the measured side has
+    dimension 2, the exact dual when it excludes a flag (factor 0) that is
+    classical, and the general alternating ascent otherwise.
     """
-    _, d_meas, _ = _bipartition(state, measured)
+    mat, d_meas, d_rest = _bipartition(state, measured)
+    if d_meas == 2 and d_rest == 2:
+        return _two_output_me_two_qubit(mat)
     if d_meas == 2:
         return _two_output_me_qubit(state, measured, budget)
     if 0 not in measured and _is_flag_diagonal(state):
@@ -823,8 +956,10 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     # (lam_i, 2/n - lam_i) and conditional blocks (B0 + B1)/n + (lam_i - 1/n) D
     # with |lam_i - 1/n| <= 1/n, so for any far-side POVM E its payoff is at
     # most 1/n + (1/n) sum_i Tr(|D| E_i) = (1 + T)/n. There K_x = K_y = 0 and
-    # r = 0, so the qubit sphere search maximizes f(v) = |v_z| T/2, and its
-    # first Fibonacci point alone has v_z = 63/64: CA2 >= 63 T/128 > T/3. Hence
+    # r = 0, so CA2 maximizes f(v) = |v_z| T/2: the exact two-qubit solver
+    # returns T/2 (its candidates include e_z), and for a larger far side the
+    # sphere search's first Fibonacci point alone has v_z = 63/64, so in both
+    # cases CA2 >= 63 T/128 > T/3. Hence
     # (1 + T)/n - 1/2 <= T/2 - (1 + T)/6 = T/3 - 1/6 lies at least 1/6 below CA2.
     uniform_flag = flaggy and max(abs(p - 0.5) for p in _flag_blocks(state)[2:]) < 1e-9
     searched = [] if uniform_flag else [((0,), state.dim // state.dims[0])]

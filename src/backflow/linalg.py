@@ -108,15 +108,12 @@ def pure_state(vector: np.ndarray, dims) -> DensityMatrix:
     return DensityMatrix(matrix=np.outer(v, v.conj()), dims=tuple(dims))
 
 
-def max_entangled_state(local_dim: int = 2) -> DensityMatrix:
-    """|Phi+> = sum_i |ii>/sqrt(d) on a (d, d) pair."""
-    v = np.zeros(local_dim * local_dim, dtype=complex)
-    for i in range(local_dim):
-        v[i * local_dim + i] = 1.0
-    return pure_state(v, (local_dim, local_dim))
+def max_entangled_state() -> DensityMatrix:
+    """|Phi+> = (|00> + |11>)/sqrt(2) on two qubits."""
+    return pure_state(np.array([1.0, 0.0, 0.0, 1.0]), (2, 2))
 
 
-PHI_PLUS = max_entangled_state(2).matrix  # |Phi+><Phi+| on two qubits
+PHI_PLUS = max_entangled_state().matrix  # |Phi+><Phi+| on two qubits
 PHI_PLUS.setflags(write=False)
 
 

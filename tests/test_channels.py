@@ -252,7 +252,7 @@ class TestChoi:
 
     def test_identity_choi_is_pure(self):
         ch = PauliChannelMap(1.0, 1.0, 1.0)
-        assert np.allclose(choi_matrix(ch), as_matrix(max_entangled_state(2)), atol=1e-14)
+        assert np.allclose(choi_matrix(ch), as_matrix(max_entangled_state()), atol=1e-14)
 
     @given(rate_values, rate_values, rate_values)
     @settings(max_examples=50, deadline=None)

@@ -249,7 +249,7 @@ class TestMeasureOnSubsystem:
             assert member.state.dims == (3,)
 
     def test_bell_computational_readout(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         povm = Povm(effects=(np.diag([1.0, 0.0]).astype(complex),
                              np.diag([0.0, 1.0]).astype(complex)))
         ens = measure_on_subsystem(bell, povm, side="A")
@@ -300,7 +300,7 @@ class TestMeasureOnSubsystem:
         assert np.allclose(as_matrix(ens.members[1].state), np.eye(2) / 2)
 
     def test_povm_dimension_mismatch(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         povm = construct_me_povm(maximally_mixed((3,)), 2)
         with pytest.raises(DimensionMismatchError):
             measure_on_subsystem(bell, povm, side=0)
@@ -312,7 +312,7 @@ class TestMeasureOnSubsystem:
             measure_on_subsystem(state, povm, side=0)
 
     def test_unknown_side_string(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         povm = construct_me_povm(maximally_mixed((2,)), 2)
         with pytest.raises(SubsystemIndexError):
             measure_on_subsystem(bell, povm, side="C")
@@ -412,6 +412,49 @@ class TestBruteforceDiscrimination:
         assert a.value == b.value
 
 
+def two_qubit_corpus(seed: int, count: int) -> list[DensityMatrix]:
+    """Full-rank, rank-two and near-product two-qubit states, in turn."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in range(count):
+        if k % 3 == 1:
+            g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+            mat = g @ g.conj().T
+            mat /= np.trace(mat).real
+        elif k % 3 == 2:
+            a, b = (as_matrix(random_density_matrix(rng, 2)) for _ in range(2))
+            mat = (1.0 - 1e-3) * np.kron(a, b) + 1e-3 * as_matrix(random_density_matrix(rng, 4))
+        else:
+            mat = as_matrix(random_density_matrix(rng, 4))
+        states.append(DensityMatrix(mat, (2, 2)))
+    return states
+
+
+def diagonal_correlations(r_z: float, corr) -> np.ndarray:
+    """(1 + r_z sigma_z (x) 1 + sum_k corr_k sigma_k (x) sigma_k) / 4."""
+    mat = np.eye(4, dtype=complex) + r_z * np.kron(PAULIS[3], PAULIS[0])
+    for c, sigma in zip(corr, PAULIS[1:]):
+        mat += c * np.kron(sigma, sigma)
+    return mat / 4.0
+
+
+def pure_two_qubit(theta: float) -> np.ndarray:
+    psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+    return np.outer(psi, psi).astype(complex)
+
+
+def halves(state: DensityMatrix) -> tuple[float, float]:
+    return correlation_CA2(state), correlation_CB2(state)
+
+
+def locally_rotated(mat: np.ndarray, rng: np.random.Generator) -> DensityMatrix:
+    """mat conjugated by a random product unitary ua (x) ub."""
+    ua, ub = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+              for _ in range(2))
+    u = np.kron(ua, ub)
+    return DensityMatrix(u @ mat @ u.conj().T, (2, 2))
+
+
 class TestCorrelationTwoOutputs:
     def test_flag_state_closed_form(self):
         # measuring the flag: the best split recovers half the trace distance
@@ -423,7 +466,7 @@ class TestCorrelationTwoOutputs:
         assert correlation_CA2(probe, budget=SMALL_BUDGET) == pytest.approx(want, abs=1e-6)
 
     def test_bell_state_value(self):
-        assert correlation_CA2(max_entangled_state(2), budget=SMALL_BUDGET) == pytest.approx(
+        assert correlation_CA2(max_entangled_state(), budget=SMALL_BUDGET) == pytest.approx(
             0.5, abs=1e-7
         )
 
@@ -436,17 +479,12 @@ class TestCorrelationTwoOutputs:
         assert correlation_CB2(prod, budget=SMALL_BUDGET) <= 1e-7
 
     def test_unitary_invariance(self):
+        # both sides qubits: the exact solver, so invariance holds to rounding
         rng = np.random.default_rng(33)
-        state = random_density_matrix(rng, 4)
-        state = DensityMatrix(as_matrix(state), (2, 2))
-        # random product unitary
-        ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        u = np.kron(ua, ub)
-        rotated = DensityMatrix(u @ as_matrix(state) @ u.conj().T, (2, 2))
-        before = correlation_CA2(state, budget=SMALL_BUDGET)
-        after = correlation_CA2(rotated, budget=SMALL_BUDGET)
-        assert after == pytest.approx(before, abs=1e-6)
+        for state in two_qubit_corpus(8, 12):
+            rotated = locally_rotated(as_matrix(state), rng)
+            for before, after in zip(halves(state), halves(rotated)):
+                assert after == pytest.approx(before, abs=1e-12)
 
     def test_cb2_flag_dual_matches_ascent(self):
         from backflow.ensembles import _two_output_me_general
@@ -567,9 +605,151 @@ class TestQubitSphereSearch:
             assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
+def search_and_grid(state: DensityMatrix, side: tuple[int, ...]) -> float:
+    return max(ensembles._two_output_me_qubit(state, side), _grid_value(state, side, 20_000))
+
+
+class TestTwoQubitExact:
+    """Both sides qubits: the closed-form maximiser of f(v) = ||C^T v|| / (2 (1 + |r.v|))."""
+
+    def test_matches_sphere_search(self):
+        # the sphere search stays an independent oracle for this case
+        for state in two_qubit_corpus(5, 90):
+            for side, exact in zip(((0,), (1,)), halves(state)):
+                search = ensembles._two_output_me_qubit(state, side)
+                assert 0.0 <= exact <= 0.5
+                assert exact >= search - 1e-12
+                assert abs(exact - search) <= 1e-9
+
+    def test_bell_state_is_one_half(self):
+        for value in halves(max_entangled_state()):
+            assert value == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("rho_a", [np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([0.75, 0.25])])
+    @pytest.mark.parametrize("rho_b", [np.diag([0.0, 1.0]), np.eye(2) / 2, np.diag([0.25, 0.75])])
+    def test_binary_exact_products_are_zero(self, rho_a, rho_b):
+        # a pure marginal (|r| = 1) included: nothing divides by 1 - |r|^2
+        prod = DensityMatrix(np.kron(rho_a, rho_b).astype(complex), (2, 2))
+        assert halves(prod) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("name,mat,want", [
+        # r = 0: f = ||C^T v|| / 2, largest at the top singular value
+        ("bell-diagonal", diagonal_correlations(0.0, (0.5, -0.3, 0.2)), (0.25, 0.25)),
+        ("bell-diagonal, degenerate", diagonal_correlations(0.0, (0.4, -0.4, 0.1)), (0.2, 0.2)),
+        ("werner", diagonal_correlations(0.0, (0.6, -0.6, 0.6)), (0.3, 0.3)),
+        # r along M's eigenvector e_z: side A peaks at e_z (0.5 / (2 * 1.2)),
+        # side B (r = 0) at 0.5 / 2
+        ("r along an eigenvector", diagonal_correlations(0.2, (0.3, -0.2, 0.5)),
+         (5.0 / 24.0, 0.25)),
+        # ... and side A on the rim r.v = 0, at e_x
+        ("r along an eigenvector, rim", diagonal_correlations(0.1, (0.5, -0.45, 0.05)),
+         (0.25, 0.25)),
+        # diagonal: only C_zz = T_zz - r_z s_z survives; f peaks at e_z,
+        # |C_zz| / (2 (1 + |r_z|))
+        ("classical", np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), (0.2, 0.4 / 2.4)),
+        # cos t |00> + sin t |11>: C = diag(s, -s, s^2), s = sin 2t, so the top
+        # is s / 2 at e_x
+        ("near-pure marginal", pure_two_qubit(1e-4), (0.5 * math.sin(2e-4),) * 2),
+        ("pure", pure_two_qubit(0.3), (0.5 * math.sin(0.6),) * 2),
+    ])
+    def test_edge_states(self, name, mat, want):
+        state = DensityMatrix(mat, (2, 2))
+        for side, got, value in zip(((0,), (1,)), halves(state), want):
+            assert got == pytest.approx(value, rel=1e-12, abs=1e-15), name
+            assert got >= search_and_grid(state, side) - 1e-12, name
+
+    def test_rotated_bell_diagonal(self):
+        # r = 0 up to rounding, which leaves a pole too weak to resolve at each
+        # eigenvalue of M; the hard-case points stand in for its two roots
+        rng = np.random.default_rng(34)
+        mat = diagonal_correlations(0.0, (0.5, -0.3, 0.2))
+        for _ in range(10):
+            for value in halves(locally_rotated(mat, rng)):
+                assert value == pytest.approx(0.25, abs=1e-12)
+
+    def test_near_pure_mixed_marginal(self):
+        psi = np.array([1.0, 1e-7, 2e-7, 1e-8])
+        psi /= np.linalg.norm(psi)
+        mixed = np.kron(np.diag([1.0, 0.0]), np.diag([0.25, 0.75]))
+        state = DensityMatrix(0.999 * np.outer(psi, psi) + 0.001 * mixed, (2, 2))
+        for side, got in zip(((0,), (1,)), halves(state)):
+            assert 0.0 < got < 1e-7
+            assert got >= search_and_grid(state, side) - 1e-12
+
+    def test_budget_has_no_effect(self):
+        tiny = OptimizerBudget(seeds=1, polish_maxfev=1, rng_seed=3)
+        for state in two_qubit_corpus(9, 6):
+            assert halves(state) == (correlation_CA2(state, tiny), correlation_CB2(state, tiny))
+
+    @pytest.mark.parametrize("dims,searches", [((2, 2), 0), ((2, 3), 1), ((2, 2, 2), 1)])
+    def test_sphere_search_runs_only_for_larger_far_sides(self, dims, searches, monkeypatch):
+        calls = []
+        search = ensembles._two_output_me_qubit
+        monkeypatch.setattr(ensembles, "_two_output_me_qubit",
+                            lambda *args: calls.append(args) or search(*args))
+        rng = np.random.default_rng(2)
+        dim = int(np.prod(dims))
+        correlation_CA2(DensityMatrix(as_matrix(random_density_matrix(rng, dim)), dims))
+        assert len(calls) == searches
+
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=2**31),
+           st.integers(min_value=0, max_value=1))
+    @settings(max_examples=200, deadline=None)
+    def test_c2_monotone_under_local_channel(self, state_seed, channel_seed, side):
+        # exact in theory: a channel on the measured side turns an equiprobable
+        # effect P into its adjoint image, still equiprobable on the original
+        # state; a channel on the far side is data processing
+        rng = np.random.default_rng(state_seed)
+        state = DensityMatrix(as_matrix(random_density_matrix(rng, 4)), (2, 2))
+        after = apply_local_channel(state, random_local_cptp(2, seed=channel_seed), side)
+        assert correlation_C2(after) <= correlation_C2(state) + 1e-12
+
+
+def secular_roots_by_grid(m: list[float], a: list[float]) -> list[float]:
+    """Oracle: sign changes of psi - 1 on a fine grid of each interval, bisected."""
+    def excess(x):
+        return sum(ai * ai * x * x / (mi - x) ** 2 for ai, mi in zip(a, m) if ai) - 1.0
+
+    ends = sorted({0.0, max(m)} | {mi for ai, mi in zip(a, m) if ai and 0.0 < mi})
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):
+        grid = lo + (hi - lo) * (np.arange(1, 20_000) / 20_000.0)
+        vals = excess(grid)
+        for k in np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0)):
+            left, right = float(grid[k]), float(grid[k + 1])
+            for _ in range(80):
+                mid = 0.5 * (left + right)
+                if (excess(mid) > 0.0) == (vals[k] > 0.0):
+                    left = mid
+                else:
+                    right = mid
+            roots.append(0.5 * (left + right))
+    return roots
+
+
+class TestSecularRoots:
+    def test_matches_grid_oracle(self):
+        rng = np.random.default_rng(3)
+        found_pairs = 0
+        for _ in range(40):
+            m = sorted(rng.uniform(0.0, 1.0, 3).tolist())
+            a = (rng.normal(size=3) * rng.uniform(0.05, 0.4)).tolist()
+            got = ensembles._secular_roots(m, a)
+            want = secular_roots_by_grid(m, a)
+            assert len(got) == len(want)
+            for x, y in zip(sorted(got), want):
+                assert x == pytest.approx(y, rel=1e-10)
+            found_pairs += len(want) > 3
+        assert found_pairs  # some intervals between two poles hold two roots
+
+    def test_no_pole_no_root(self):
+        assert ensembles._secular_roots([0.0, 0.2, 0.5], [0.3, 0.0, 0.0]) == []
+        assert ensembles._secular_roots([0.1, 0.2, 0.5], [0.0, 0.0, 0.0]) == []
+
+
 class TestCorrelationGeneral:
     def test_output_bounds(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         with pytest.raises(DimensionMismatchError):
             correlation_C_general(bell, max_outputs=1)
         with pytest.raises(DimensionMismatchError):
@@ -770,7 +950,7 @@ def _correlated_classical_state() -> DensityMatrix:
 class TestNOutputSeesaw:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("side", [(0,), (1,)])
-    @pytest.mark.parametrize("make", [lambda: max_entangled_state(2), _correlated_classical_state],
+    @pytest.mark.parametrize("make", [lambda: max_entangled_state(), _correlated_classical_state],
                              ids=["bell", "classical"])
     def test_perfectly_correlated_qubits_reach_two_over_n(self, make, side, n):
         """Both states give exactly 2/n.

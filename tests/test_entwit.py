@@ -30,7 +30,7 @@ from backflow.linalg import (
 
 
 def werner(w: float) -> DensityMatrix:
-    bell = max_entangled_state(2)
+    bell = max_entangled_state()
     mat = w * bell.matrix + (1.0 - w) * np.eye(4) / 4.0
     return DensityMatrix(matrix=mat, dims=(2, 2))
 
@@ -48,7 +48,7 @@ class TestNegativity:
             assert negativity(random_product(rng)) <= 1e-12
 
     def test_bell_state(self):
-        assert negativity(max_entangled_state(2)) == pytest.approx(0.5, abs=1e-12)
+        assert negativity(max_entangled_state()) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("w", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
     def test_werner_closed_form(self, w):
@@ -83,7 +83,7 @@ class TestNegativity:
 
     def test_three_factor_cut(self):
         # cut separates factor 0 from the rest
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         mat = np.kron(bell.matrix, np.eye(2) / 2.0)
         state = DensityMatrix(matrix=mat, dims=(2, 2, 2))
         assert negativity(state) == pytest.approx(0.5, abs=1e-12)
@@ -278,7 +278,7 @@ class TestScenario:
         # reproduce clause (b) directly from channel factors
         from backflow.channels import ExtendedChannel
 
-        phi = max_entangled_state(2)
+        phi = max_entangled_state()
         comp_pre = constant_rates(2.0, 2.0, 2.0)
         lam = decay_factors(comp_pre, 0.0, 1.0)
         evolved = ExtendedChannel(lam, (2,)).apply(phi.matrix)

@@ -130,7 +130,7 @@ class TestConstructors:
         assert np.isclose(as_matrix(state)[0, 0].real, 9.0 / 25.0)
 
     def test_max_entangled_qubits(self):
-        state = max_entangled_state(2)
+        state = max_entangled_state()
         mat = as_matrix(state)
         vec = np.zeros(4)
         vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
@@ -165,7 +165,7 @@ class TestPartialTrace:
         assert right.dims == (3,)
 
     def test_bell_marginal_is_mixed(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         marg = partial_trace(bell, keep=(1,))
         assert np.allclose(as_matrix(marg), np.eye(2) / 2)
 
@@ -186,14 +186,14 @@ class TestPartialTrace:
         assert np.allclose(as_matrix(out), as_matrix(joint))
 
     def test_bad_index_raises(self):
-        bell = max_entangled_state(2)
+        bell = max_entangled_state()
         with pytest.raises(SubsystemIndexError):
             partial_trace(bell, keep=(2,))
 
 
 class TestPartialTranspose:
     def test_bell_state_eigenvalues(self):
-        bell = as_matrix(max_entangled_state(2))
+        bell = as_matrix(max_entangled_state())
         pt = partial_transpose(bell, (2, 2), 1)
         vals = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(vals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)

@@ -120,7 +120,7 @@ class TestMutualInformation:
         )
 
     def test_bell_state_two_ln_two(self):
-        assert mutual_information(max_entangled_state(2)) == pytest.approx(
+        assert mutual_information(max_entangled_state()) == pytest.approx(
             2.0 * LN2, abs=1e-12
         )
 
@@ -153,15 +153,15 @@ class TestDidt:
     def test_near_bell_decreases_under_cp_rates(self):
         # the pure Bell state itself sits on the boundary where the
         # derivative diverges; just inside, CP dynamics must lose information
-        mat = 0.95 * max_entangled_state(2).matrix + 0.05 * np.eye(4) / 4.0
+        mat = 0.95 * max_entangled_state().matrix + 0.05 * np.eye(4) / 4.0
         state = DensityMatrix(matrix=mat, dims=(2, 2))
         assert didt(state, constant_rates(1.0, 1.0, 1.0), 0.5) < 0.0
 
     def test_boundary_state_rejected(self):
         with pytest.raises(BoundaryStateError):
-            didt(max_entangled_state(2), constant_rates(1.0, 1.0, 1.0), 0.5)
+            didt(max_entangled_state(), constant_rates(1.0, 1.0, 1.0), 0.5)
         with pytest.raises(BoundaryStateError):
-            didt_finite_difference(max_entangled_state(2), eternal_rates(), 0.5)
+            didt_finite_difference(max_entangled_state(), eternal_rates(), 0.5)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
@@ -178,7 +178,7 @@ class TestDidt:
     def test_batch_matches_singles_and_flags_boundary(self):
         rates, t = eternal_rates(), 0.9
         states = [interior_state(s) for s in (1, 2)]
-        mats = np.stack([st.matrix for st in states] + [max_entangled_state(2).matrix])
+        mats = np.stack([st.matrix for st in states] + [max_entangled_state().matrix])
         vals = mi.didt_batch(mats, rates, t)
         for got, st in zip(vals[:2], states):
             assert got == pytest.approx(didt(st, rates, t), abs=1e-12)

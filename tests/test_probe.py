@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import backflow.probe as probe
 from backflow.channels import (
@@ -33,6 +35,7 @@ from backflow.errors import (
     TimeOrderViolationError,
 )
 from backflow.linalg import (
+    PHI_PLUS,
     DensityMatrix,
     SIGMA_X,
     SIGMA_Z,
@@ -44,6 +47,7 @@ from backflow.linalg import (
 )
 from backflow.probe import (
     ProbePair,
+    _block_seed,
     _seeds,
     build_probe_state,
     detect_backflow,
@@ -105,7 +109,7 @@ def serial_expansion_search(ch: PauliChannelMap, ancilla_dim: int):
     def traceless(mat):
         return mat - (np.trace(mat) / dim) * eye
 
-    phi = max_entangled_state(2).matrix
+    phi = max_entangled_state().matrix
     chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
     chi_proj = np.outer(chi, chi.conj())
     tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
@@ -157,7 +161,7 @@ def serial_expansion_search(ch: PauliChannelMap, ancilla_dim: int):
 def per_call_seeds(ch: PauliChannelMap, ancilla_dim: int) -> np.ndarray:
     """Oracle: the seven seeds built from scratch on every call, Phi+ and rng included."""
     dim = 2 * ancilla_dim
-    phi = max_entangled_state(2).matrix
+    phi = max_entangled_state().matrix
     chi = np.linalg.eigh(choi_matrix(ch))[1][:, 0]
     chi_proj = np.outer(chi, chi.conj())
     tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
@@ -306,6 +310,52 @@ class TestExpansionDirection:
                     trace_norm_expansion_direction(ch, ancilla_dim=ancilla_dim)
                 assert exc_info.value.best_ratio == want_value
                 assert np.array_equal(exc_info.value.best_direction, want_direction)
+
+
+def choi_negativity(ch: PauliChannelMap) -> float:
+    """N: the summed |negative eigenvalues| of the trace-one Choi matrix."""
+    eigs = choi_eigenvalues(ch)
+    return float(-eigs[eigs < 0.0].sum())
+
+
+def non_cp_pauli_maps(seed: int, count: int) -> list[PauliChannelMap]:
+    """Pauli maps with factors uniform in [-0.3, 1.3] and N >= 1e-6."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    while len(maps) < count:
+        ch = PauliChannelMap(*rng.uniform(-0.3, 1.3, size=3))
+        if choi_negativity(ch) >= 1e-6:
+            maps.append(ch)
+    return maps
+
+
+factor = st.floats(min_value=-0.3, max_value=1.3)
+
+
+class TestExpansionInterval:
+    """The qutrit block seed expands by 1 + N; no direction beats the diamond norm 1 + 2N."""
+
+    def test_block_seed_ratio_is_one_plus_negativity(self):
+        # top block Phi+/2 maps to J/2 with trace norm (1 + 2N)/2; the bottom
+        # block -1/4 is fixed by the unital map
+        seed = _block_seed(PHI_PLUS)
+        norm = trace_norm(seed)  # 1 up to rounding
+        for ch in non_cp_pauli_maps(20, 144):
+            assert abs(expansion_ratio(ch, seed) / norm - (1.0 + choi_negativity(ch))) <= 1e-14
+
+    @given(factor, factor, factor)
+    @settings(max_examples=60, deadline=None)
+    def test_ascent_ratio_interval(self, d_x, d_y, d_z):
+        ch = PauliChannelMap(d_x, d_y, d_z)
+        n = choi_negativity(ch)
+        assume(n >= 1e-6)
+        qutrit = expansion_ratio(ch, trace_norm_expansion_direction(ch, ancilla_dim=3))
+        assert 1.0 + n - 1e-12 <= qutrit <= 1.0 + 2.0 * n + 1e-12
+        try:
+            direction = trace_norm_expansion_direction(ch, ancilla_dim=2)
+        except ExpansionNotFoundError:
+            return
+        assert expansion_ratio(ch, direction) <= 1.0 + 2.0 * n + 1e-12
 
 
 class TestPullBackPair:
