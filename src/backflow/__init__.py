@@ -31,9 +31,8 @@ _EXPORTS = {
         "load_rate_table_csv", "table_rates", "tune_rates_shrink_image",
     ),
     "ensembles": (
-        "EnsembleMember", "OptimizerBudget", "Povm", "StateEnsemble", "apply_local_channel",
-        "construct_me_povm", "correlation_C2", "correlation_C_general", "correlation_CA2",
-        "correlation_CB2", "guessing_probability_bruteforce", "is_me_povm",
+        "Povm", "apply_local_channel", "construct_me_povm", "correlation_C2",
+        "correlation_C_general", "correlation_CA2", "correlation_CB2", "is_me_povm",
         "random_local_cptp",
     ),
     "entwit": (

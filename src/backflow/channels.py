@@ -95,6 +95,7 @@ def _require_finite(what: str, values) -> None:
 def constant_rates(gx: float, gy: float, gz: float, domain_end: float = math.inf) -> RateProfile:
     _require_finite("rates", (gx, gy, gz))
     sums = np.array([gy + gz, gx + gz, gx + gy])
+    _require_finite("pair sums", sums)
 
     def integrals(t0: float, t1: float):
         return tuple(sums * (t1 - t0))
@@ -140,10 +141,13 @@ def table_rates(times: Sequence[float], gammas: Sequence[Sequence[float]]) -> Ra
     if ts[0] > _TIME_SLACK:
         raise TimeOrderViolationError("table must start at t = 0")
 
-    pair = np.stack([gs[:, 1] + gs[:, 2], gs[:, 0] + gs[:, 2], gs[:, 0] + gs[:, 1]], axis=1)
-    # cumulative exact integrals of the piecewise-linear interpolant at knots
-    seg = 0.5 * (pair[1:] + pair[:-1]) * np.diff(ts)[:, None]
-    cum = np.vstack([np.zeros(3), np.cumsum(seg, axis=0)])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        pair = np.stack([gs[:, 1] + gs[:, 2], gs[:, 0] + gs[:, 2], gs[:, 0] + gs[:, 1]], axis=1)
+        # cumulative exact integrals of the piecewise-linear interpolant at knots
+        seg = 0.5 * (pair[1:] + pair[:-1]) * np.diff(ts)[:, None]
+        cum = np.vstack([np.zeros(3), np.cumsum(seg, axis=0)])
+    _require_finite("pair sums", pair)
+    _require_finite("pair-sum integrals at the knots", cum)
 
     def value_at(t: float) -> np.ndarray:
         return np.array([np.interp(t, ts, gs[:, k]) for k in range(3)])

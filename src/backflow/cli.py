@@ -31,7 +31,7 @@ from .channels import (
     load_rate_table_csv,
     tune_rates_shrink_image,
 )
-from .ensembles import OptimizerBudget, construct_me_povm, is_me_povm
+from .ensembles import construct_me_povm, is_me_povm
 from .errors import (
     BackflowError,
     ConfigError,
@@ -114,7 +114,7 @@ class ScenarioConfig:
     t_end: float
     steps: int
     tolerances: Mapping[str, float]
-    budget: OptimizerBudget
+    samples: int  # mutinfo-map neighborhood samples per grid time (budget.seeds)
     epsilon: float
     output: str
     seed: int
@@ -238,15 +238,12 @@ def load_config(path: str) -> ScenarioConfig:
     budget_raw = raw.get("budget", {})
     if not isinstance(budget_raw, dict):
         raise ConfigError("budget must be an object")
-    keys = ("seeds", "polish_maxfev")
-    unknown = set(budget_raw) - set(keys)
+    unknown = set(budget_raw) - {"seeds"}
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
-    defaults = OptimizerBudget()
-    counts = {k: _integer(budget_raw.get(k, getattr(defaults, k)), f"budget {k}") for k in keys}
-    if min(counts.values()) < 1:
-        raise ConfigError("budget counts must be positive")
-    budget = OptimizerBudget(**counts, rng_seed=seed)
+    samples = _integer(budget_raw.get("seeds", 8), "budget seeds")
+    if samples < 1:
+        raise ConfigError("budget seeds must be positive")
 
     epsilon = _number(raw.get("epsilon", 0.05), "epsilon")
     if not 0.0 < epsilon < 1.0:
@@ -268,7 +265,7 @@ def load_config(path: str) -> ScenarioConfig:
         t_end=t_end,
         steps=steps,
         tolerances=tolerances,
-        budget=budget,
+        samples=samples,
         epsilon=epsilon,
         output=output,
         seed=seed,
@@ -319,7 +316,7 @@ def _run_backflow(config: ScenarioConfig, threads: int | None):
     grid = _grid(config)
     reports = scan_backflow_grid(
         config.profile, ((a, b - a) for a, b in zip(grid[:-1], grid[1:])),
-        epsilon=config.epsilon, budget=config.budget,
+        epsilon=config.epsilon,
     )
     rows = [
         (r.tau, r.delta_t, r.c2_before, r.c2_after, r.choi_min_eig,
@@ -359,7 +356,7 @@ def _run_mutinfo(config: ScenarioConfig, threads: int | None):
     violated = False
     for k, t in enumerate(_grid(config)):
         values = neighborhood_didt(
-            config.profile, float(t), 0.0, config.epsilon, config.budget.seeds,
+            config.profile, float(t), 0.0, config.epsilon, config.samples,
             threads=threads, seed=config.seed + k,
         )
         for v in values:
@@ -381,7 +378,6 @@ def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
         config.switch_time,
         grid,
         epsilon=config.epsilon,
-        budget=config.budget,
     )
     rows = list(
         zip(report.times, report.negativities, report.choi_min_intermediate, report.c2_values)

@@ -16,8 +16,9 @@ makes it reliable enough to compare against closed forms at 1e-6.
 Two-output measurements on larger sides use a monotone alternating ascent.
 More outputs use a seesaw that alternates the far side's discrimination with
 pairwise updates of the measured side's effects, for at most
-budget.polish_maxfev rounds; every strategy it holds is exactly
-equiprobable, and it reports the best one's payoff.
+_SEESAW_ROUNDS rounds; every strategy it holds is exactly equiprobable, and
+it reports the best one's payoff. The effort of each search is a module
+constant, not an argument: no run path varies it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import (
     DegenerateSplitError,
     DimensionMismatchError,
-    InvalidStateError,
     SubsystemIndexError,
 )
 from .linalg import (
@@ -43,6 +43,9 @@ from .linalg import (
 )
 
 ME_PROB_TOL = 1e-10
+_SPHERE_STEPS = 600  # cap on the minorize-maximize steps of _two_output_me_qubit
+_ASCENT_STARTS = 4  # random starts of _two_output_me_general, from default_rng(0)
+_SEESAW_ROUNDS = 600  # cap on the rounds of _n_output_me_pg
 
 
 # ---------------------------------------------------------------------------
@@ -139,69 +142,7 @@ def construct_me_povm(state: DensityMatrix, n_outputs: int = 2) -> Povm:
 
 
 # ---------------------------------------------------------------------------
-# measurement on one side of a composite state
-
-
-@dataclass(frozen=True)
-class EnsembleMember:
-    probability: float
-    state: DensityMatrix
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class StateEnsemble:
-    members: tuple[EnsembleMember, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise InvalidStateError("ensemble needs at least one member")
-        total = sum(m.probability for m in self.members)
-        if any(m.probability < -1e-12 for m in self.members) or abs(total - 1.0) > 1e-10:
-            raise InvalidStateError("ensemble probabilities must be a distribution")
-        dim = self.members[0].state.matrix.shape[0]
-        if any(m.state.matrix.shape[0] != dim for m in self.members):
-            raise DimensionMismatchError("ensemble states must share one dimension")
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(m.probability for m in self.members)
-
-    @property
-    def states(self) -> tuple[DensityMatrix, ...]:
-        return tuple(m.state for m in self.members)
-
-
-# ---------------------------------------------------------------------------
 # guessing probability
-
-
-@dataclass(frozen=True)
-class OptimizerBudget:
-    """Search effort, by the code that reads each field.
-
-    seeds: fixed-point starts (guessing_probability_bruteforce), general
-    two-output ascent starts (max(3, seeds // 2)) and the CLI mutinfo-map
-    sample count. max_iterations: fixed-point steps per start, library calls
-    of guessing_probability_bruteforce only (the n-output search passes its
-    own; no scenario config sets it). polish_maxfev: qubit sphere-search steps
-    per start (far sides of dimension 3 or more; a two-qubit half is solved
-    exactly and reads no field) and n-output seesaw rounds. rng_seed: every
-    random start.
-    """
-
-    seeds: int = 8
-    max_iterations: int = 300
-    polish_maxfev: int = 600
-    rng_seed: int = 0
-
-
-@dataclass(frozen=True)
-class DiscriminationResult:
-    value: float
-    iterations: int
-    converged: bool
-    povm: Povm | None = None
 
 
 def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -257,53 +198,6 @@ def _fixed_point(ws: Sequence[np.ndarray], start: Sequence[np.ndarray],
             if stall >= 8:
                 return best_val, best_effs, it, True
     return best_val, best_effs, it, False
-
-
-def guessing_probability_bruteforce(
-    ensemble: StateEnsemble, budget: OptimizerBudget | None = None
-) -> DiscriminationResult:
-    """Lower bound on the guessing probability by fixed-point ascent.
-
-    Iterates the discrimination map P_i <- L^{-1/2} W_i P_i W_i L^{-1/2} with
-    L = sum_j W_j P_j W_j and W_i = p_i rho_i, from a pretty-good-measurement
-    seed, a uniform and a guess-the-prior start, and budget.seeds - 2 seeded
-    random starts; keeps the best payoff seen. For two states this lands on
-    the Helstrom value to ~1e-10.
-    """
-    budget = budget or OptimizerBudget()
-    ws = [m.probability * m.state.matrix for m in ensemble.members]
-    n = len(ws)
-    dim = ws[0].shape[0]
-    rng = np.random.default_rng(budget.rng_seed)
-
-    seeds = [_pretty_good_measurement(ws)]
-    seeds.append([np.eye(dim) / n for _ in range(n)])
-    # guess-the-prior baseline: assign everything to the most likely member
-    imax = int(np.argmax([m.probability for m in ensemble.members]))
-    seeds.append([np.eye(dim) if i == imax else np.zeros((dim, dim)) for i in range(n)])
-    for _ in range(max(0, budget.seeds - 2)):
-        gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n)]
-        sq = [g @ g.conj().T + 1e-6 * np.eye(dim) for g in gs]
-        ti = _pinv_sqrt(sum(sq))
-        seeds.append([ti @ s @ ti for s in sq])
-
-    best_val, best_effs, best_it, best_conv = -1.0, None, 0, False
-    for s in seeds:
-        val, effs, it, conv = _fixed_point(ws, s, budget.max_iterations)
-        if val > best_val:
-            best_val, best_effs, best_it, best_conv = val, effs, it, conv
-    povm = None
-    if best_effs is not None:
-        try:
-            povm = Povm(effects=tuple(_certify_effects(best_effs)))
-        except DimensionMismatchError:
-            povm = None
-    return DiscriminationResult(
-        value=best_val,
-        iterations=best_it,
-        converged=best_conv,
-        povm=povm,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +266,7 @@ def _sphere_argmax(g: np.ndarray, r_bloch: np.ndarray, v: np.ndarray) -> np.ndar
     return cands[np.arange(len(cands)), np.argmax(surrogate, axis=1)]
 
 
-def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
-                         budget: OptimizerBudget | None = None) -> float:
+def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int]) -> float:
     """Best equiprobable-measurement value when the measured side is a qubit.
 
     _two_output_me runs it for far sides of dimension 3 or more; a qubit far
@@ -392,10 +285,9 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
     (Tr(W H) <= ||H||_1) and touches it at v, so jumping to its exact maximiser
     (_sphere_argmax) never lowers f. Each step costs one stacked eigensolve
     over the starts; the search stops once no start gains more than 1e-15, or
-    after budget.polish_maxfev steps. Every value reported is f at a unit
+    after _SPHERE_STEPS steps. Every value reported is f at a unit
     direction, so a valid equiprobable measurement attains it.
     """
-    budget = budget or OptimizerBudget()
     mat, _, d_rest = _bipartition(state, measured)
     kernels = [_conditional_kernel(mat, 2, d_rest, p) for p in PAULIS]
     rho_rest = kernels[0]
@@ -412,7 +304,7 @@ def _two_output_me_qubit(state: DensityMatrix, measured: Sequence[int],
     top = np.argsort(vals)[::-1][:6]
     v, vals, w, u = v[top], vals[top], w[top], u[top]
     best = float(vals[0])
-    for _ in range(budget.polish_maxfev):
+    for _ in range(_SPHERE_STEPS):
         signs = (u * np.sign(w)[:, None, :]) @ u.conj().swapaxes(1, 2)
         g = np.einsum("nij,kji->nk", signs, ops).real
         v = _sphere_argmax(g, r_bloch, v)
@@ -743,8 +635,7 @@ def _boxed_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, upper: np.ndarray,
     return s @ x @ s.conj().T
 
 
-def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
-                           budget: OptimizerBudget | None = None) -> float:
+def _two_output_me_general(state: DensityMatrix, measured: Sequence[int]) -> float:
     """Alternating ascent for a measured side of any dimension.
 
     The objective (1/2)||Tr_meas[rho (2P-1 (x) 1)]||_1 is a trace norm, hence
@@ -752,9 +643,9 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
     Alternate exactly solvable steps: W is the spectral sign of the current
     kernel, and the best P for fixed W is a one-multiplier linear program.
     Every step is monotone, so the best value seen is attained by a valid
-    equiprobable measurement.
+    equiprobable measurement. The starts are the ME split of the measured
+    marginal and _ASCENT_STARTS seeded random effects.
     """
-    budget = budget or OptimizerBudget()
     mat, d_meas, d_rest = _bipartition(state, measured)
     tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
     rho_meas = np.einsum("arbr->ab", tensor)
@@ -789,7 +680,7 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
                     break
         return best
 
-    rng = np.random.default_rng(budget.rng_seed)
+    rng = np.random.default_rng(0)
     starts = []
     try:
         seed_povm = construct_me_povm(
@@ -798,7 +689,7 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int],
         starts.append(np.asarray(seed_povm.effects[0]))
     except DegenerateSplitError:
         pass
-    for _ in range(max(3, budget.seeds // 2)):
+    for _ in range(_ASCENT_STARTS):
         g = rng.normal(size=(d_meas, d_meas)) + 1j * rng.normal(size=(d_meas, d_meas))
         starts.append(_capped_linear_opt(0.5 * (g + g.conj().T), rho_meas, 0.5))
 
@@ -841,44 +732,42 @@ def _two_output_me_flag_exact(state: DensityMatrix) -> float:
     return max(branch(1.0), branch(-1.0), 0.0)
 
 
-def _two_output_me(state: DensityMatrix, measured: tuple[int, ...],
-                   budget: OptimizerBudget | None) -> float:
+def _two_output_me(state: DensityMatrix, measured: tuple[int, ...]) -> float:
     """Best two-output equiprobable value measuring the given factors.
 
-    The exact two-qubit solver when both sides have dimension 2 (budget is
-    unused there), the qubit sphere search when only the measured side has
-    dimension 2, the exact dual when it excludes a flag (factor 0) that is
-    classical, and the general alternating ascent otherwise.
+    The exact two-qubit solver when both sides have dimension 2, the qubit
+    sphere search when only the measured side has dimension 2, the exact
+    dual when it excludes a flag (factor 0) that is classical, and the
+    general alternating ascent otherwise.
     """
     mat, d_meas, d_rest = _bipartition(state, measured)
     if d_meas == 2 and d_rest == 2:
         return _two_output_me_two_qubit(mat)
     if d_meas == 2:
-        return _two_output_me_qubit(state, measured, budget)
+        return _two_output_me_qubit(state, measured)
     if 0 not in measured and _is_flag_diagonal(state):
         return _two_output_me_flag_exact(state)
-    return _two_output_me_general(state, measured, budget)
+    return _two_output_me_general(state, measured)
 
 
-def correlation_CA2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
+def correlation_CA2(state: DensityMatrix) -> float:
     """Two-output equiprobable-measurement correlation, measuring side A (factor 0)."""
-    return _two_output_me(state, (0,), budget)
+    return _two_output_me(state, (0,))
 
 
-def correlation_CB2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
+def correlation_CB2(state: DensityMatrix) -> float:
     """Same measure, measuring side B (every factor but the first)."""
-    return _two_output_me(state, tuple(range(1, len(state.dims))), budget)
+    return _two_output_me(state, tuple(range(1, len(state.dims))))
 
 
-def correlation_C2(state: DensityMatrix, budget: OptimizerBudget | None = None) -> float:
-    return max(correlation_CA2(state, budget), correlation_CB2(state, budget))
+def correlation_C2(state: DensityMatrix) -> float:
+    return max(correlation_CA2(state), correlation_CB2(state))
 
 
 # --- searches with more than two outputs -----------------------------------
 
 
-def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
-                    budget: OptimizerBudget | None = None) -> float:
+def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int) -> float:
     """Best n-output guessing probability by a seesaw between the two sides.
 
     The payoff sum_i Tr[(M_i (x) E_i) rho] is linear in the measured-side
@@ -894,10 +783,9 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
       0 <= M_i <= S with Tr(rho_meas M_i) = 1/n, and M_j = S - M_i. Every
       round keeps sum M = 1 and every outcome probability at exactly 1/n.
     The search stops after a round that gains no more than 1e-15, or after
-    budget.polish_maxfev rounds, and returns the payoff of the best strategy
+    _SEESAW_ROUNDS rounds, and returns the payoff of the best strategy
     it held (at least 1/n, which guessing one fixed outcome attains).
     """
-    budget = budget or OptimizerBudget()
     mat, d_meas, d_rest = _bipartition(state, measured)
     tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
     rho_meas = np.einsum("arbr->ab", tensor)
@@ -912,7 +800,7 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
     xs = far_kernels()
     e_effs = _pretty_good_measurement(xs)
     best = 1.0 / n
-    for _ in range(budget.polish_maxfev):
+    for _ in range(_SEESAW_ROUNDS):
         val, e_effs, _, _ = _fixed_point(xs, e_effs, 10)
         ys = [np.einsum("arbs,sr->ab", tensor, e) for e in e_effs]
         for i in range(n):
@@ -928,8 +816,7 @@ def _n_output_me_pg(state: DensityMatrix, measured: Sequence[int], n: int,
     return best
 
 
-def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
-                          budget: OptimizerBudget | None = None) -> float:
+def correlation_C_general(state: DensityMatrix, max_outputs: int = 2) -> float:
     """Best equiprobable-measurement advantage over 2..max_outputs outcomes.
 
     The reported value is the maximal guessing probability minus the baseline
@@ -948,7 +835,7 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
     """
     if max_outputs < 2 or max_outputs > 4:
         raise DimensionMismatchError("max_outputs must be between 2 and 4")
-    best = correlation_C2(state, budget)
+    best = correlation_C2(state)
     flaggy = _is_flag_diagonal(state)
     # Measuring a uniform classical flag (p0 = 1/2) with n >= 3 outputs never
     # beats CA2, so that term is skipped. With D = B0 - B1 (Tr D = 0 and
@@ -982,7 +869,7 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2,
             # 2 d_far <= n the term is at most 0 <= C2 and is skipped; for
             # n <= 4 that is n = 4 against a qubit far side.
             if 2 * d_far > n:
-                best = max(best, _n_output_me_pg(state, measured, n, budget) - 0.5)
+                best = max(best, _n_output_me_pg(state, measured, n) - 0.5)
     return best
 
 

@@ -27,7 +27,6 @@ from .channels import (
     is_p_divisible_at,
     splice_rates,
 )
-from .ensembles import OptimizerBudget
 from .errors import DimensionMismatchError, PreconditionError
 from .linalg import DensityMatrix, partial_transpose, trace_norm
 from .probe import BackflowReport, detect_backflow
@@ -115,7 +114,6 @@ def scenario_entanglement_blind(
     switch_time: float,
     grid: Sequence[float],
     epsilon: float = 0.05,
-    budget: OptimizerBudget | None = None,
 ) -> EntanglementBlindReport:
     """Certify correlation backflow on dynamics that keep every state PPT.
 
@@ -125,8 +123,8 @@ def scenario_entanglement_blind(
     naming the failing clause.  The report carries, per grid time, the
     negativity of the evolved maximally entangled probe, the minimal
     Choi eigenvalue of the intermediate map over the following grid
-    step, and the pair distance of the backflow probe pair. epsilon and
-    budget go to detect_backflow on the first non-CP grid step.
+    step, and the pair distance of the backflow probe pair. epsilon goes
+    to detect_backflow on the first non-CP grid step.
     """
     if not 0.0 < switch_time < math.inf:
         raise PreconditionError("switch time must be positive and finite")
@@ -193,7 +191,7 @@ def scenario_entanglement_blind(
     if noncp:
         ti = ts[tau_star]
         dt = ts[tau_star + 1] - ti
-        backflow = detect_backflow(composite, ti, dt, epsilon=epsilon, budget=budget)
+        backflow = detect_backflow(composite, ti, dt, epsilon=epsilon)
         if backflow.pair is not None:
             c2_values = tuple(backflow.pair.distance_at(composite, t) for t in ts)
 

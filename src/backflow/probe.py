@@ -31,7 +31,7 @@ from .channels import (
     intermediate_map,
     invert_channel,
 )
-from .ensembles import OptimizerBudget, correlation_CA2
+from .ensembles import correlation_CA2
 from .errors import (
     DimensionMismatchError,
     EpsilonRangeError,
@@ -296,7 +296,6 @@ def detect_backflow(
     tau: float,
     delta_t: float,
     epsilon: float = 0.05,
-    budget: OptimizerBudget | None = None,
 ) -> BackflowReport:
     """Hunt for a correlation backflow across [tau, tau + delta_t].
 
@@ -333,7 +332,7 @@ def detect_backflow(
         c2_after = pair.distance_at(rates, tau + delta_t)
         for t_eval, want in ((tau, c2_before), (tau + delta_t, c2_after)):
             evolved = evolve_probe(probe, rates, t_eval)
-            got = correlation_CA2(evolved.matrix, budget=budget)
+            got = correlation_CA2(evolved.matrix)
             # both values scale with epsilon; the probe's entries do not, so the
             # optimizer's rounding leaves an absolute floor
             if abs(got - want) > CROSSCHECK_TOL * epsilon + 1e-12:
@@ -360,10 +359,9 @@ def scan_backflow_grid(
     rates: RateProfile,
     intervals: Iterable[tuple[float, float]],
     epsilon: float = 0.05,
-    budget: OptimizerBudget | None = None,
 ) -> list[BackflowReport]:
     """detect_backflow at each (tau, delta_t) pair, in the given order."""
     return [
-        detect_backflow(rates, float(tau), float(dt), epsilon=epsilon, budget=budget)
+        detect_backflow(rates, float(tau), float(dt), epsilon=epsilon)
         for tau, dt in intervals
     ]

@@ -7,9 +7,10 @@ here are reached by the tests alone. By the library module they check:
 - `linalg`: partial trace, trace distance and von Neumann entropy;
 - `channels`: composition of Pauli maps and the random-unitary GKSL
   generator, whose integrated dynamics `decay_factors` must reproduce;
-- `ensembles`: measurement on a subsystem, the Helstrom value for two
-  equiprobable states, and the level-by-level loop form of
-  `construct_me_povm`;
+- `ensembles`: state ensembles and measurement on a subsystem, the
+  fixed-point discrimination bound `guessing_probability_bruteforce` with
+  its `OptimizerBudget`, the Helstrom value for two equiprobable states,
+  and the level-by-level loop form of `construct_me_povm`;
 - `mutinfo`: Pauli-product coordinates, the mutual information, the
   single-state `didt`, its finite-difference oracle, and the MI no-go's
   closed form for dI/dt on the Hessian's zero eigenspace;
@@ -33,11 +34,13 @@ from backflow.channels import (
     invert_channel,
 )
 from backflow.ensembles import (
-    EnsembleMember,
     Povm,
-    StateEnsemble,
     _bipartition,
+    _certify_effects,
     _conditional_kernel,
+    _fixed_point,
+    _pinv_sqrt,
+    _pretty_good_measurement,
 )
 from backflow.errors import (
     BackflowError,
@@ -181,6 +184,105 @@ def random_unitary_generator(rates: RateProfile) -> GkslGenerator:
 
 
 DEGENERATE_OUTCOME_TOL = 1e-14
+
+
+@dataclass(frozen=True)
+class EnsembleMember:
+    probability: float
+    state: DensityMatrix
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class StateEnsemble:
+    members: tuple[EnsembleMember, ...]
+
+    def __post_init__(self):
+        if not self.members:
+            raise InvalidStateError("ensemble needs at least one member")
+        total = sum(m.probability for m in self.members)
+        if any(m.probability < -1e-12 for m in self.members) or abs(total - 1.0) > 1e-10:
+            raise InvalidStateError("ensemble probabilities must be a distribution")
+        dim = self.members[0].state.matrix.shape[0]
+        if any(m.state.matrix.shape[0] != dim for m in self.members):
+            raise DimensionMismatchError("ensemble states must share one dimension")
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        return tuple(m.probability for m in self.members)
+
+    @property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        return tuple(m.state for m in self.members)
+
+
+@dataclass(frozen=True)
+class OptimizerBudget:
+    """Effort of guessing_probability_bruteforce.
+
+    seeds: fixed-point starts (three fixed ones, then seeded random starts
+    up to this count). max_iterations: fixed-point steps per start.
+    rng_seed: the random starts' generator seed.
+    """
+
+    seeds: int = 8
+    max_iterations: int = 300
+    rng_seed: int = 0
+
+
+@dataclass(frozen=True)
+class DiscriminationResult:
+    value: float
+    iterations: int
+    converged: bool
+    povm: Povm | None = None
+
+
+def guessing_probability_bruteforce(
+    ensemble: StateEnsemble, budget: OptimizerBudget | None = None
+) -> DiscriminationResult:
+    """Lower bound on the guessing probability by fixed-point ascent.
+
+    Iterates the discrimination map P_i <- L^{-1/2} W_i P_i W_i L^{-1/2} with
+    L = sum_j W_j P_j W_j and W_i = p_i rho_i, from a pretty-good-measurement
+    seed, a uniform and a guess-the-prior start, and budget.seeds - 2 seeded
+    random starts; keeps the best payoff seen. For two states this lands on
+    the Helstrom value to ~1e-10.
+    """
+    budget = budget or OptimizerBudget()
+    ws = [m.probability * m.state.matrix for m in ensemble.members]
+    n = len(ws)
+    dim = ws[0].shape[0]
+    rng = np.random.default_rng(budget.rng_seed)
+
+    seeds = [_pretty_good_measurement(ws)]
+    seeds.append([np.eye(dim) / n for _ in range(n)])
+    # guess-the-prior baseline: assign everything to the most likely member
+    imax = int(np.argmax([m.probability for m in ensemble.members]))
+    seeds.append([np.eye(dim) if i == imax else np.zeros((dim, dim)) for i in range(n)])
+    for _ in range(max(0, budget.seeds - 2)):
+        gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n)]
+        sq = [g @ g.conj().T + 1e-6 * np.eye(dim) for g in gs]
+        ti = _pinv_sqrt(sum(sq))
+        seeds.append([ti @ s @ ti for s in sq])
+
+    best_val, best_effs, best_it, best_conv = -1.0, None, 0, False
+    for s in seeds:
+        val, effs, it, conv = _fixed_point(ws, s, budget.max_iterations)
+        if val > best_val:
+            best_val, best_effs, best_it, best_conv = val, effs, it, conv
+    povm = None
+    if best_effs is not None:
+        try:
+            povm = Povm(effects=tuple(_certify_effects(best_effs)))
+        except DimensionMismatchError:
+            povm = None
+    return DiscriminationResult(
+        value=best_val,
+        iterations=best_it,
+        converged=best_conv,
+        povm=povm,
+    )
 
 
 def _resolve_side(dims: Sequence[int], side) -> tuple[int, ...]:

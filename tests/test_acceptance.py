@@ -24,15 +24,11 @@ from backflow.channels import (
 )
 from backflow.cli import main as cli_main
 from backflow.ensembles import (
-    EnsembleMember,
-    OptimizerBudget,
-    StateEnsemble,
     apply_local_channel,
     correlation_C2,
     correlation_C_general,
     correlation_CA2,
     correlation_CB2,
-    guessing_probability_bruteforce,
     random_local_cptp,
 )
 from backflow.entwit import NEGATIVITY_TOL, scenario_entanglement_blind
@@ -46,8 +42,12 @@ from backflow.probe import (
     trace_norm_expansion_direction,
 )
 from oracles import (
+    EnsembleMember,
+    OptimizerBudget,
+    StateEnsemble,
     didt,
     didt_finite_difference,
+    guessing_probability_bruteforce,
     guessing_probability_two,
     random_hermitian,
     spectral_fd,

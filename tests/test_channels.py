@@ -405,6 +405,10 @@ class TestNonFiniteRejected:
             lambda: detect_backflow(eternal_rates(), 0.5, math.inf),
             lambda: PauliChannelMap(math.nan, 1.0, 1.0),
             lambda: PauliChannelMap(1.0, 1.0, -math.inf),
+            # finite rates whose pair sum or knot integral overflows to inf
+            lambda: constant_rates(1e308, 1e308, 1.0),
+            lambda: table_rates([0.0, 2.0], [[1e308, 1e308, 1.0]] * 2),
+            lambda: table_rates([0.0, 2.0], [[1e308, 1.0, 1.0]] * 2),
         ],
         ids=[
             "constant-nan-rate",
@@ -422,6 +426,9 @@ class TestNonFiniteRejected:
             "backflow-inf-delta",
             "map-nan-factor",
             "map-inf-factor",
+            "constant-pair-sum-overflow",
+            "table-pair-sum-overflow",
+            "table-integral-overflow",
         ],
     )
     def test_raises(self, build):

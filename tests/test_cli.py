@@ -103,6 +103,7 @@ class TestConfigValidation:
             lambda c: c.__setitem__("tolerances", {"negativity": 1e-10}),
             lambda c: c.__setitem__("budget", {"max_iterations": 5}),
             lambda c: c.__setitem__("tolerances", {"band": 1e-8}),
+            lambda c: c.__setitem__("budget", {"polish_maxfev": 1}),
         ],
     )
     def test_rejects_bad_fields(self, tmp_path, mutate):
@@ -220,6 +221,15 @@ class TestNonFiniteAndNonIntegralInput:
             lambda c, d: c.__setitem__("budget", 0),
             lambda c, d: c.__setitem__("budget", ""),
             lambda c, d: c.__setitem__("budget", None),
+            lambda c, d: c.__setitem__(
+                "profile", {"preset": "constant", "rates": [1e308, 1e308, 1.0]}
+            ),
+            lambda c, d: c.__setitem__(
+                "profile", _rate_table(d, "0.0,1e308,1e308,1.0\n2.0,1e308,1e308,1.0\n")
+            ),
+            lambda c, d: c.__setitem__(
+                "profile", _rate_table(d, "0.0,1e308,1.0,1.0\n2.0,1e308,1.0,1.0\n")
+            ),
         ],
         ids=[
             "constant-nan-rate",
@@ -257,6 +267,9 @@ class TestNonFiniteAndNonIntegralInput:
             "budget-zero",
             "budget-empty-string",
             "budget-null",
+            "constant-pair-sum-overflow",
+            "table-pair-sum-overflow",
+            "table-integral-overflow",
         ],
     )
     def test_exits_config_without_csv(self, tmp_path, capsys, mutate):
@@ -380,7 +393,6 @@ class TestScenarioRuns:
             config.profile,
             zip(grid[:-1], np.diff(grid)),
             epsilon=config.epsilon,
-            budget=config.budget,
         )
         assert len(rows) == len(reports)
         for row, r in zip(rows, reports):
@@ -398,23 +410,6 @@ class TestScenarioRuns:
         assert float(first[1]) > 0.2
         for r in rows[2:]:
             assert float(r.split(",")[1]) <= 1e-10
-
-    def test_entanglement_blind_crosscheck_reads_budget(self, tmp_path, monkeypatch):
-        import backflow.probe as probe
-
-        budgets = []
-        crosscheck = probe.correlation_CA2
-
-        def recording(state, budget=None):
-            budgets.append(budget)
-            return crosscheck(state, budget=budget)
-
-        monkeypatch.setattr(probe, "correlation_CA2", recording)
-        cfg = base_config("entanglement-blind")
-        cfg["budget"] = {"polish_maxfev": 1, "seeds": 1}
-        run_cli(tmp_path, cfg)
-        assert len(budgets) == 2
-        assert all(b is not None and (b.polish_maxfev, b.seeds) == (1, 1) for b in budgets)
 
     def test_seventeen_digit_floats(self, tmp_path):
         cfg = base_config("backflow")

@@ -12,17 +12,13 @@ from scipy import optimize
 
 from backflow import ensembles
 from backflow.ensembles import (
-    EnsembleMember,
-    OptimizerBudget,
     Povm,
-    StateEnsemble,
     apply_local_channel,
     construct_me_povm,
     correlation_C2,
     correlation_C_general,
     correlation_CA2,
     correlation_CB2,
-    guessing_probability_bruteforce,
     is_me_povm,
     random_local_cptp,
 )
@@ -44,7 +40,11 @@ from backflow.linalg import (
     trace_norm,
 )
 from oracles import (
+    EnsembleMember,
+    OptimizerBudget,
+    StateEnsemble,
     construct_me_povm_loop,
+    guessing_probability_bruteforce,
     guessing_probability_two,
     measure_on_subsystem,
     partial_trace,
@@ -463,20 +463,18 @@ class TestCorrelationTwoOutputs:
         rho_b = as_matrix(random_density_matrix(rng, 3))
         probe = flag_state(rho_a, rho_b, (3,))
         want = 0.25 * trace_norm(rho_a - rho_b)
-        assert correlation_CA2(probe, budget=SMALL_BUDGET) == pytest.approx(want, abs=1e-6)
+        assert correlation_CA2(probe) == pytest.approx(want, abs=1e-6)
 
     def test_bell_state_value(self):
-        assert correlation_CA2(max_entangled_state(), budget=SMALL_BUDGET) == pytest.approx(
-            0.5, abs=1e-7
-        )
+        assert correlation_CA2(max_entangled_state()) == pytest.approx(0.5, abs=1e-7)
 
     def test_product_state_vanishes(self):
         rng = np.random.default_rng(5)
         rho = as_matrix(random_density_matrix(rng, 2))
         sig = as_matrix(random_density_matrix(rng, 3))
         prod = DensityMatrix(np.kron(rho, sig), (2, 3))
-        assert correlation_CA2(prod, budget=SMALL_BUDGET) <= 1e-7
-        assert correlation_CB2(prod, budget=SMALL_BUDGET) <= 1e-7
+        assert correlation_CA2(prod) <= 1e-7
+        assert correlation_CB2(prod) <= 1e-7
 
     def test_unitary_invariance(self):
         # both sides qubits: the exact solver, so invariance holds to rounding
@@ -493,8 +491,8 @@ class TestCorrelationTwoOutputs:
         rho_a = as_matrix(random_density_matrix(rng, 3))
         rho_b = as_matrix(random_density_matrix(rng, 3))
         probe = flag_state(rho_a, rho_b, (3,))
-        exact = correlation_CB2(probe, budget=SMALL_BUDGET)
-        ascent = _two_output_me_general(probe, (1,), SMALL_BUDGET)
+        exact = correlation_CB2(probe)
+        ascent = _two_output_me_general(probe, (1,))
         assert ascent == pytest.approx(exact, abs=1e-6)
 
     def test_cb2_nonuniform_flag(self):
@@ -504,8 +502,8 @@ class TestCorrelationTwoOutputs:
         probe = flag_state(rho_a, rho_b, (2,), p=0.7)
         from backflow.ensembles import _two_output_me_general
 
-        exact = correlation_CB2(probe, budget=SMALL_BUDGET)
-        ascent = _two_output_me_general(probe, (1,), SMALL_BUDGET)
+        exact = correlation_CB2(probe)
+        ascent = _two_output_me_general(probe, (1,))
         assert ascent == pytest.approx(exact, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -514,12 +512,10 @@ class TestCorrelationTwoOutputs:
         rho_a = as_matrix(random_density_matrix(rng, 2))
         rho_b = as_matrix(random_density_matrix(rng, 2))
         probe = flag_state(rho_a, rho_b, (2,))
-        ca2 = correlation_CA2(probe, budget=SMALL_BUDGET)
-        cb2 = correlation_CB2(probe, budget=SMALL_BUDGET)
+        ca2 = correlation_CA2(probe)
+        cb2 = correlation_CB2(probe)
         assert ca2 >= cb2 - 1e-6
-        assert correlation_C2(probe, budget=SMALL_BUDGET) == pytest.approx(
-            max(ca2, cb2), abs=1e-12
-        )
+        assert correlation_C2(probe) == pytest.approx(max(ca2, cb2), abs=1e-12)
 
 
 def _fibonacci_directions(count: int) -> np.ndarray:
@@ -569,19 +565,18 @@ class TestQubitSphereSearch:
                     misses.append((k, side, floor - got))
         assert not misses
 
-    def test_one_step_keeps_best_grid_point(self):
+    def test_one_step_keeps_best_grid_point(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "_SPHERE_STEPS", 1)
         rng = np.random.default_rng(11)
         for _ in range(5):
             state = DensityMatrix(as_matrix(random_density_matrix(rng, 6)), (2, 3))
-            got = correlation_CA2(state, budget=OptimizerBudget(polish_maxfev=1))
+            got = correlation_CA2(state)
             assert got >= _grid_value(state, (0,), 64) - 1e-12
 
     def test_deterministic_given_budget(self):
         rng = np.random.default_rng(12)
         state = DensityMatrix(as_matrix(random_density_matrix(rng, 8)), (2, 4))
-        assert correlation_CA2(state, budget=SMALL_BUDGET) == correlation_CA2(
-            state, budget=SMALL_BUDGET
-        )
+        assert correlation_CA2(state) == correlation_CA2(state)
 
     @pytest.mark.parametrize("rho_a", [np.eye(2) / 2, np.diag([0.75, 0.25])])
     def test_product_state_keeps_unit_directions(self, monkeypatch, rho_a):
@@ -676,11 +671,6 @@ class TestTwoQubitExact:
             assert 0.0 < got < 1e-7
             assert got >= search_and_grid(state, side) - 1e-12
 
-    def test_budget_has_no_effect(self):
-        tiny = OptimizerBudget(seeds=1, polish_maxfev=1, rng_seed=3)
-        for state in two_qubit_corpus(9, 6):
-            assert halves(state) == (correlation_CA2(state, tiny), correlation_CB2(state, tiny))
-
     @pytest.mark.parametrize("dims,searches", [((2, 2), 0), ((2, 3), 1), ((2, 2, 2), 1)])
     def test_sphere_search_runs_only_for_larger_far_sides(self, dims, searches, monkeypatch):
         calls = []
@@ -760,8 +750,8 @@ class TestCorrelationGeneral:
         rho_a = as_matrix(random_density_matrix(rng, 2))
         rho_b = as_matrix(random_density_matrix(rng, 2))
         probe = flag_state(rho_a, rho_b, (2,))
-        assert correlation_C_general(probe, max_outputs=2, budget=SMALL_BUDGET) == pytest.approx(
-            correlation_C2(probe, budget=SMALL_BUDGET), abs=1e-12
+        assert correlation_C_general(probe, max_outputs=2) == pytest.approx(
+            correlation_C2(probe), abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", [4, 5])
@@ -771,8 +761,8 @@ class TestCorrelationGeneral:
         rho_a = as_matrix(random_density_matrix(rng, 2))
         rho_b = as_matrix(random_density_matrix(rng, 2))
         probe = flag_state(rho_a, rho_b, (2,))
-        c2 = correlation_C2(probe, budget=SMALL_BUDGET)
-        c4 = correlation_C_general(probe, max_outputs=4, budget=SMALL_BUDGET)
+        c2 = correlation_C2(probe)
+        c4 = correlation_C_general(probe, max_outputs=4)
         assert c4 >= c2 - 1e-9
         assert c4 <= c2 + 1e-3
 
@@ -780,8 +770,8 @@ class TestCorrelationGeneral:
         rng = np.random.default_rng(6)
         state = random_density_matrix(rng, 4)
         state = DensityMatrix(as_matrix(state), (2, 2))
-        c2 = correlation_C_general(state, max_outputs=2, budget=SMALL_BUDGET)
-        c3 = correlation_C_general(state, max_outputs=3, budget=SMALL_BUDGET)
+        c2 = correlation_C_general(state, max_outputs=2)
+        c3 = correlation_C_general(state, max_outputs=3)
         assert c3 >= c2 - 1e-9
         # C_general starts at C2, so that holds by construction; the generic
         # search must also end no lower than its own start on either side
@@ -790,7 +780,7 @@ class TestCorrelationGeneral:
             start_pg = guessing_probability_bruteforce(
                 measure_on_subsystem(state, start, side)
             ).value
-            assert ensembles._n_output_me_pg(state, (side,), 3, SMALL_BUDGET) >= start_pg - 1e-9
+            assert ensembles._n_output_me_pg(state, (side,), 3) >= start_pg - 1e-9
 
     def test_nonuniform_flag_runs_generic_search(self, monkeypatch):
         # only a uniform flag marginal lets C_general skip the flag side
@@ -800,16 +790,16 @@ class TestCorrelationGeneral:
         measured = []
         search = ensembles._n_output_me_pg
 
-        def recorder(state, sides, n, budget=None):
+        def recorder(state, sides, n):
             measured.append(tuple(sides))
-            return search(state, sides, n, budget)
+            return search(state, sides, n)
 
         monkeypatch.setattr(ensembles, "_n_output_me_pg", recorder)
         for p, sides in ((0.7, [(0,)]), (0.5, [])):
             measured.clear()
             probe = flag_state(rho_a, rho_b, (2,), p=p)
-            c2 = correlation_C2(probe, budget=SMALL_BUDGET)
-            c3 = correlation_C_general(probe, max_outputs=3, budget=SMALL_BUDGET)
+            c2 = correlation_C2(probe)
+            c3 = correlation_C_general(probe, max_outputs=3)
             assert measured == sides
             assert c3 >= c2 - 1e-9
 
@@ -853,8 +843,8 @@ class TestCorrelationGeneral:
             rho_a = as_matrix(random_density_matrix(rng, d))
             rho_b = as_matrix(random_density_matrix(rng, d))
             probe = flag_state(rho_a, rho_b, dims, p=p0)
-            pg = ensembles._n_output_me_pg(probe, b_factors, n, SMALL_BUDGET)
-            assert pg <= correlation_CB2(probe, budget=SMALL_BUDGET) + 1.0 / n + 1e-9
+            pg = ensembles._n_output_me_pg(probe, b_factors, n)
+            assert pg <= correlation_CB2(probe) + 1.0 / n + 1e-9
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("p0", [0.5, 0.7])
@@ -909,8 +899,8 @@ class TestCorrelationGeneral:
         rho_b = as_matrix(random_density_matrix(rng, dim))
         probe = flag_state(rho_a, rho_b, (dim,))
         monkeypatch.setattr(ensembles, "_n_output_me_pg", refuse)
-        c4 = correlation_C_general(probe, max_outputs=4, budget=SMALL_BUDGET)
-        assert c4 == correlation_C2(probe, budget=SMALL_BUDGET)
+        c4 = correlation_C_general(probe, max_outputs=4)
+        assert c4 == correlation_C2(probe)
 
     @pytest.mark.parametrize("dims, searched, skipped", [
         ((2, 2), [(0,), (1,)], [(0,), (1,)]),
@@ -928,15 +918,15 @@ class TestCorrelationGeneral:
         measured = []
         search = ensembles._n_output_me_pg
 
-        def recorder(state, sides, n, budget=None):
+        def recorder(state, sides, n):
             measured.append(tuple(sides))
-            return search(state, sides, n, budget)
+            return search(state, sides, n)
 
         monkeypatch.setattr(ensembles, "_n_output_me_pg", recorder)
-        c4 = correlation_C_general(state, max_outputs=4, budget=SMALL_BUDGET)
+        c4 = correlation_C_general(state, max_outputs=4)
         assert measured == searched
         for side in skipped:
-            pg = search(state, side, 4, SMALL_BUDGET)
+            pg = search(state, side, 4)
             assert pg <= 0.5 + 1e-12
             assert max(c4, pg - 0.5) == c4
 
@@ -984,11 +974,14 @@ class TestNOutputSeesaw:
 
         monkeypatch.setattr(ensembles, "_fixed_point", recorder)
         state = DensityMatrix(as_matrix(random_density_matrix(np.random.default_rng(6), 4)), (2, 2))
-        capped = ensembles._n_output_me_pg(state, (0,), 3, OptimizerBudget(polish_maxfev=2))
+        rounds = ensembles._SEESAW_ROUNDS
+        monkeypatch.setattr(ensembles, "_SEESAW_ROUNDS", 2)
+        capped = ensembles._n_output_me_pg(state, (0,), 3)
         assert len(calls) == 2
         calls.clear()
+        monkeypatch.setattr(ensembles, "_SEESAW_ROUNDS", rounds)
         full = ensembles._n_output_me_pg(state, (0,), 3)
-        assert 2 < len(calls) <= OptimizerBudget().polish_maxfev
+        assert 2 < len(calls) <= rounds
         assert full >= capped
 
 
@@ -1137,12 +1130,12 @@ class TestScipyForwarders:
         monkeypatch.setattr(ensembles, "minimize", refuse)
         rng = np.random.default_rng(4)
         general = DensityMatrix(as_matrix(random_density_matrix(rng, 6)), (2, 3))
-        assert correlation_CB2(general, budget=SMALL_BUDGET) > 0.0
+        assert correlation_CB2(general) > 0.0
         rho_a = as_matrix(random_density_matrix(rng, 3))
         rho_b = as_matrix(random_density_matrix(rng, 3))
-        assert correlation_CB2(flag_state(rho_a, rho_b, (3,)), budget=SMALL_BUDGET) > 0.0
+        assert correlation_CB2(flag_state(rho_a, rho_b, (3,))) > 0.0
         probe = flag_state(rho_a, rho_b, (3,), p=0.6)
-        assert correlation_C_general(probe, max_outputs=4, budget=SMALL_BUDGET) > 0.0
+        assert correlation_C_general(probe, max_outputs=4) > 0.0
 
 
 class TestLocalChannels:
@@ -1188,7 +1181,7 @@ class TestLocalChannels:
         rho_a = as_matrix(random_density_matrix(rng, 2))
         rho_b = as_matrix(random_density_matrix(rng, 2))
         probe = flag_state(rho_a, rho_b, (2,))
-        before = correlation_C2(probe, budget=SMALL_BUDGET)
+        before = correlation_C2(probe)
         ch = random_local_cptp(2, seed=seed + 100)
-        after = correlation_C2(apply_local_channel(probe, ch, factor=1), budget=SMALL_BUDGET)
+        after = correlation_C2(apply_local_channel(probe, ch, factor=1))
         assert after <= before + 2e-3

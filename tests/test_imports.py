@@ -334,12 +334,12 @@ def test_scipy_free_scenario_loads_no_scipy(tmp_path):
 def test_correlation_searches_load_no_scipy():
     code = (
         "import numpy as np\n"
-        "from backflow import DensityMatrix, OptimizerBudget, correlation_C_general\n"
+        "from backflow import DensityMatrix, correlation_C_general\n"
         "from backflow import correlation_CB2, random_density_matrix\n"
         "rho = random_density_matrix(np.random.default_rng(4), 6).matrix\n"
         "correlation_CB2(DensityMatrix(rho, (2, 3)))\n"
         "rho = random_density_matrix(np.random.default_rng(5), 4).matrix\n"
-        "correlation_C_general(DensityMatrix(rho, (2, 2)), 4, OptimizerBudget(polish_maxfev=5))\n"
+        "correlation_C_general(DensityMatrix(rho, (2, 2)), 4)\n"
     )
     assert modules_after(code, "scipy") == []
 
@@ -375,16 +375,16 @@ def test_neighborhood_scan_loads_no_scipy():
 
 
 # the 72 names the package exported when every submodule was imported eagerly,
-# less the 13 that no run path reaches; those live in tests/oracles.py
+# less the 17 that no run path reaches; those live in tests/oracles.py
 PUBLIC_NAMES = frozenset("""
-    BackflowReport DensityMatrix DivisibilityVerdict EnsembleMember
+    BackflowReport DensityMatrix DivisibilityVerdict
     EntanglementBlindReport ExtendedChannel HessianReport NeighborhoodScanReport
-    OptimizerBudget PauliChannelMap Povm ProbePair ProbeState RateProfile StateEnsemble
+    PauliChannelMap Povm ProbePair ProbeState RateProfile
     apply_local_channel build_probe_state choi_eigenvalues choi_matrix
     choi_min_eigenvalue classify_interval closed_form_hessian_eigenvalues constant_rates
     construct_me_povm correlation_C2 correlation_CA2 correlation_CB2
     correlation_C_general decay_factors detect_backflow eternal_rates evolve_probe
-    guessing_probability_bruteforce hessian_at_stationary intermediate_map
+    hessian_at_stationary intermediate_map
     invert_channel is_cp is_cp_divisible_at is_entanglement_breaking is_me_povm
     is_p_divisible_at load_rate_table_csv max_entangled_state maximally_mixed negativity
     neighborhood_scan partial_transpose pull_back_pair pure_state random_density_matrix
@@ -396,7 +396,7 @@ SUBMODULES = ("channels", "cli", "ensembles", "entwit", "errors", "linalg", "mut
 
 
 def test_exports_are_the_home_modules_objects():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 55
     assert backflow.__all__ == sorted(PUBLIC_NAMES)
     for name in backflow.__all__:
         obj = getattr(backflow, name)

@@ -608,6 +608,32 @@ class TestScanGrid:
             assert report.consistent == single.consistent
 
 
+class TestRandomDynamics:
+    """The paper's theorem beyond the presets: backflow iff non-CP on random dynamics."""
+
+    def test_seeded_table_corpus(self):
+        # piecewise-linear rates, 5 knots on [0, 3] with values in [-1.5, 2],
+        # kept when the map from 0 is CP on a 121-point grid (about 1 in 17
+        # draws); five intervals each, tau in [0, 2] and delta_t in [0.02, 0.9]
+        rng = np.random.default_rng(7)
+        knots = np.linspace(0.0, 3.0, 5)
+        grid = np.linspace(0.0, 3.0, 121)
+        profiles = []
+        while len(profiles) < 40:
+            rates = table_rates(knots, rng.uniform(-1.5, 2.0, size=(5, 3)))
+            if all(is_cp(decay_factors(rates, 0.0, float(t))) for t in grid):
+                profiles.append(rates)
+        detected = []
+        for k, rates in enumerate(profiles):
+            intervals = list(zip(rng.uniform(0.0, 2.0, 5), rng.uniform(0.02, 0.9, 5)))
+            for report in scan_backflow_grid(rates, intervals):
+                point = (k, report.tau, report.delta_t)
+                assert report.consistent, point
+                assert not report.inconclusive, point
+                detected.append(report.backflow_detected)
+        assert any(detected) and not all(detected)
+
+
 @pytest.fixture(scope="module")
 def probe_states():
     states = []
