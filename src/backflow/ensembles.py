@@ -13,7 +13,11 @@ equation and a few candidate directions. For larger far sides a batched
 minorize-maximize search refines a stack of starting directions together,
 one stacked eigensolve per step, and no step lowers any start; that is what
 makes it reliable enough to compare against closed forms at 1e-6.
-Two-output measurements on larger sides use a monotone alternating ascent.
+Two-output measurements on larger sides use a monotone alternating ascent
+whose starts climb in lock-step as one stack. Each of its steps, and the
+exact dual opposite a classical flag, is a one-multiplier capped linear
+program (_capped_linear_opt), solved exactly for a whole stack of cost
+matrices at once, each member with the bits it would get alone.
 More outputs use a seesaw that alternates the far side's discrimination with
 pairwise updates of the measured side's effects, for at most
 _SEESAW_ROUNDS rounds; every strategy it holds is exactly equiprobable, and
@@ -220,9 +224,9 @@ def _bipartition(state: DensityMatrix, measured: Sequence[int]) -> tuple[np.ndar
 
 
 def _conditional_kernel(mat: np.ndarray, d_meas: int, d_rest: int, op: np.ndarray) -> np.ndarray:
-    """Tr_meas[rho (op (x) 1_rest)] for a measured-side operator op."""
+    """Tr_meas[rho (op (x) 1_rest)] for a measured-side operator op, or each of a stack."""
     tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
-    return np.einsum("arbs,ba->rs", tensor, op)
+    return np.einsum("arbs,...ba->...rs", tensor, op)
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -464,52 +468,79 @@ def minimize_scalar(*args, **kwargs):
 
 
 def _dual_kinks(q_mat: np.ndarray, r_val: np.ndarray,
-                r_vec: np.ndarray) -> tuple[np.ndarray, int]:
-    """Kinks of mu -> Tr(Q - mu R)_+, ascending, and the count right of the last.
+                r_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kinks of mu -> Tr(Q - mu R)_+ for each Q of a (n, d, d) stack.
 
+    Returns the kinks ascending, one row per Q padded with zeros to d + 1
+    columns; their count m; and the count right of the last kink.
     r_val, r_vec is the eigendecomposition of R; eigenvalues up to 1e-12 of
     the largest count as its kernel K and the rest as its support S. With K
     empty the kinks are the generalized eigenvalues of (Q, R), where one
-    eigenvalue of Q - mu R crosses zero. Otherwise eliminate K by Haynsworth
-    inertia: the invertible part of Q_KK contributes its positive eigenvalues
+    eigenvalue of Q - mu R crosses zero: one stacked eigvalsh in the
+    R-orthonormal basis. Otherwise eliminate K by Haynsworth inertia, Q by
+    Q: the invertible part of Q_KK contributes its positive eigenvalues
     and a Schur complement on S; the part of K that Q_KK annihilates but Q_SK
     couples to S (rank b) contributes b positive and b negative eigenvalues
     for every mu and confines the kinks to the S directions orthogonal to
     that coupling. So Q - mu R has exactly fixed + #{k : kink_k > mu}
     positive eigenvalues.
     """
-    k = int(np.sum(r_val <= 1e-12 * r_val[-1]))
+    n, k = len(q_mat), int(np.sum(r_val <= 1e-12 * r_val[-1]))
     qv = r_vec.conj().T @ q_mat @ r_vec
-    q_ss = qv[k:, k:]
     basis = np.diag(r_val[k:] ** -0.5)  # R-orthonormal on S
-    fixed = 0
-    if k:
-        a, a_vec = np.linalg.eigh(qv[:k, :k])
-        q_tol = 1e-12 * np.linalg.norm(q_mat)
+    kinks = np.zeros((n, r_val.size + 1))
+    m, fixed = np.full(n, r_val.size - k), np.zeros(n, dtype=int)
+    if not k:
+        kinks[:, :-1] = np.linalg.eigvalsh(basis.conj().T @ qv @ basis)
+        return kinks, m, fixed
+    for i, q_i in enumerate(qv):
+        a, a_vec = np.linalg.eigh(q_i[:k, :k])
+        q_tol = 1e-12 * np.linalg.norm(q_mat[i])
         live = np.abs(a) > q_tol
-        fixed = int(np.sum(a > q_tol))
-        q_sk = qv[k:, :k] @ a_vec
-        q_ss = q_ss - (q_sk[:, live] / a[live]) @ q_sk[:, live].conj().T
+        q_sk = q_i[k:, :k] @ a_vec
+        q_ss = q_i[k:, k:] - (q_sk[:, live] / a[live]) @ q_sk[:, live].conj().T
         z, s, _ = np.linalg.svd(q_sk[:, ~live])
         rank = int(np.sum(s > q_tol))
+        fixed[i] = np.sum(a > q_tol) + rank
+        b = basis
         if rank:
-            fixed += rank
             z = z[:, rank:]
             zw, zv = np.linalg.eigh(z.conj().T @ (r_val[k:, None] * z))
-            basis = z @ (zv / np.sqrt(zw))
-    return np.linalg.eigvalsh(basis.conj().T @ q_ss @ basis), fixed
+            b = z @ (zv / np.sqrt(zw))
+        m[i] = b.shape[1]
+        kinks[i, :m[i]] = np.linalg.eigvalsh(b.conj().T @ q_ss @ b)
+    return kinks, m, fixed
 
 
-def _eig_shifted(q_mat: np.ndarray, r_mat: np.ndarray, mu: float):
-    """Eigenpairs of Q - mu R with eigenvalues descending, and R in that eigenbasis."""
-    w, u = np.linalg.eigh(q_mat - mu * r_mat)
-    w, u = w[::-1], u[:, ::-1]
-    return w, u, u.conj().T @ r_mat @ u
+def _eig_shifted(q_mat: np.ndarray, r_mat: np.ndarray, mu: np.ndarray):
+    """Eigenpairs of Q_i - mu_i R, eigenvalues descending, and R in each eigenbasis."""
+    w, u = np.linalg.eigh(q_mat - mu[:, None, None] * r_mat)
+    w, u = w[:, ::-1], u[:, :, ::-1]
+    return w, u, u.conj().swapaxes(1, 2) @ r_mat @ u
+
+
+def _sums_by_count(counts: np.ndarray, terms) -> np.ndarray:
+    """Sum of the block terms(sel, c) per row, for the rows sel whose count is c.
+
+    numpy sums a short block term by term and a long one pairwise, so a
+    member's sum depends on its block's size. Rows of one count are summed
+    together along a flat last axis, in the same order as each block alone.
+    """
+    groups = set(counts.tolist())
+    if len(groups) == 1:
+        block = terms(slice(None), groups.pop())
+        return block.reshape(len(block), -1).sum(axis=1)
+    out = np.empty(len(counts))
+    for c in groups:
+        sel = counts == c
+        block = terms(sel, c)
+        out[sel] = block.reshape(len(block), -1).sum(axis=1)
+    return out
 
 
 def _dual_minimizer(q_mat: np.ndarray, r_mat: np.ndarray, beta: float,
                     r_val: np.ndarray, r_vec: np.ndarray):
-    """_eig_shifted at the minimizer mu* of f(mu) = Tr(Q - mu R)_+ + beta mu.
+    """_eig_shifted at the minimizer mu* of f(mu) = Tr(Q - mu R)_+ + beta mu, per Q.
 
     f is convex and smooth between its kinks (_dual_kinks), which also give
     the count p of positive eigenvalues w_1 >= ... >= w_p of Q - mu R on each
@@ -526,97 +557,122 @@ def _dual_minimizer(q_mat: np.ndarray, r_mat: np.ndarray, beta: float,
     by f(mu) >= beta mu (take P = 0) and f(mu) >= Tr Q - mu (Tr R - beta)
     (P = 1): with f(mu*) <= f(0) = Tr Q_+ and Tr Q_+, Tr Q_- <= sqrt(d)
     ||Q||_F they bound mu*.
+
+    Every Q of the stack runs its own bisection and Newton loop; each round
+    of either is one stacked eigensolve over the members still in it, and
+    each member takes the steps and bits it would take alone.
     """
-    kinks, fixed = _dual_kinks(q_mat, r_val, r_vec)
-    m = kinks.size
-    seen = {}
+    kinks, m, fixed = _dual_kinks(q_mat, r_val, r_vec)
+    n, dim = q_mat.shape[:2]
+    rows = np.arange(n)
+    dtype = np.result_type(q_mat, r_mat)
+    # spectra by member and kink; the bisection ends at one it has seen
+    at_w = np.empty((n, dim + 1, dim))
+    at_u, at_ru = (np.empty((n, dim + 1, dim, dim), dtype) for _ in range(2))
 
-    def at_kink(j: int):
-        if j not in seen:
-            seen[j] = _eig_shifted(q_mat, r_mat, float(kinks[j]))
-        return seen[j]
+    def slope(spec_ru: np.ndarray, p: np.ndarray) -> np.ndarray:
+        costs = spec_ru.diagonal(0, 1, 2).real
+        return beta - _sums_by_count(p, lambda sel, c: costs[sel, :c])
 
-    def slope(spec, p: int) -> float:
-        return beta - float(np.diagonal(spec[2])[:p].real.sum())
-
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if slope(at_kink(mid), fixed + m - 1 - mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = np.zeros(n, dtype=int)
+    act, low, high = rows[m > 0], lo[m > 0], m[m > 0]
+    while act.size:
+        mid = (low + high) // 2
+        at_w[act, mid], at_u[act, mid], at_ru[act, mid] = spec = _eig_shifted(
+            q_mat[act], r_mat, kinks[act, mid])
+        up = slope(spec[2], fixed[act] + m[act] - 1 - mid) >= 0.0
+        high = np.where(up, mid, high)
+        lo[act] = low = np.where(up, low, mid + 1)
+        going = low < high
+        act, low, high = act[going], low[going], high[going]
     p = fixed + m - lo  # positive eigenvalues on the piece left of kink lo
-    span = math.sqrt(q_mat.shape[0]) * float(np.linalg.norm(q_mat))
+    seen = np.minimum(lo, m - 1)
+    w, u, ru = at_w[rows, seen], at_u[rows, seen], at_ru[rows, seen]
+
+    def keep(idx, spec):
+        w[idx], u[idx], ru[idx] = spec
+
+    flat = (m == 0).nonzero()[0]
+    if flat.size:
+        keep(flat, _eig_shifted(q_mat[flat], r_mat, np.zeros(flat.size)))
+    act = ((lo == m) | ~(slope(ru, p) <= 0.0)).nonzero()[0]
+    if not act.size:
+        return w, u, ru
+    span = np.zeros(n)  # needed only where Newton's bracket is an end piece
+    ends = act[(lo[act] == 0) | (lo[act] == m[act])]
+    span[ends] = [math.sqrt(dim) * float(np.linalg.norm(q_mat[i])) for i in ends]
     floor = 1e-12 * r_val[-1]
-    left = float(kinks[lo - 1]) if lo else -span / max(r_val.sum() - beta, floor)
-    right = float(kinks[lo]) if lo < m else span / max(beta, floor)
-    if lo < m:
-        mu, spec = right, at_kink(lo)
-        if slope(spec, p) <= 0.0:
-            return spec
-    elif m:
-        mu, spec = left, at_kink(m - 1)
-    else:
-        mu, spec = 0.0, _eig_shifted(q_mat, r_mat, 0.0)
+    left = np.where(lo > 0, kinks[rows, lo - 1], -span / max(r_val.sum() - beta, floor))
+    right = np.where(lo < m, kinks[rows, lo], span / max(beta, floor))
+    mu = np.where(lo < m, right, np.where(m > 0, left, 0.0))
     for _ in range(100):
-        grad = slope(spec, p)
-        if abs(grad) <= 1e-15:
+        grad = slope(ru[act], p[act])
+        going = ~(np.abs(grad) <= 1e-15)
+        act, grad = act[going], grad[going]
+        if not act.size:
             break
-        if grad < 0.0:
-            left = mu
-        else:
-            right = mu
-        w, ru = spec[0], spec[2]
+        here, below = mu[act], grad < 0.0
+        left[act] = low = np.where(below, here, left[act])
+        right[act] = high = np.where(below, right[act], here)
+        wa, rua = w[act], ru[act]
         with np.errstate(divide="ignore", invalid="ignore"):
-            curv = 2.0 * np.sum(np.abs(ru[:p, p:]) ** 2 / (w[:p, None] - w[None, p:]))
-            step = mu - grad / curv
-        if abs(step - mu) <= 1e-15 * abs(mu):
-            break
-        if not left < step < right:
-            step = 0.5 * (left + right)
-            if not left < step < right:
-                break
-        mu, spec = step, _eig_shifted(q_mat, r_mat, step)
-    return spec
+            curv = 2.0 * _sums_by_count(p[act], lambda sel, c: np.abs(rua[sel, :c, c:]) ** 2
+                                        / (wa[sel, :c, None] - wa[sel, None, c:]))
+            step = here - grad / curv
+        moving = ~(np.abs(step - here) <= 1e-15 * np.abs(here))
+        step = np.where((low < step) & (step < high), step, 0.5 * (low + high))
+        moving &= (low < step) & (step < high)
+        act = act[moving]
+        mu[act] = step[moving]
+        keep(act, _eig_shifted(q_mat[act], r_mat, mu[act]))
+    return w, u, ru
 
 
 def _capped_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, beta: float) -> np.ndarray:
     """Maximize Tr(Q P) over 0 <= P <= 1 with Tr(R P) = beta, R PSD.
 
-    The Lagrange dual over the single multiplier mu is solved exactly with a
-    few eigensolves (_dual_minimizer); the primal optimum is recovered by a
-    fractional fill in the eigenbasis of Q - mu* R, spending the R-budget on
-    the best profit-to-cost directions first (the exchange argument holds
-    with negative profits too). Directions that cost no more than R's kernel
-    threshold (_dual_kinks) are free and taken iff they add profit. With R
-    = 0 every direction is free and mu* = 0. The returned effect is exactly
-    feasible.
+    q_mat is one (d, d) Q or a (n, d, d) stack sharing R; the answer has the
+    same shape, and each member equals bit for bit the answer for that Q
+    alone. The Lagrange dual over the single multiplier mu is solved exactly
+    with a few eigensolves (_dual_minimizer); the primal optimum is recovered
+    by a fractional fill in the eigenbasis of Q - mu* R, spending the
+    R-budget on the best profit-to-cost directions first (the exchange
+    argument holds with negative profits too). Directions that cost no more
+    than R's kernel threshold (_dual_kinks) are free and taken iff they add
+    profit. With R = 0 every direction is free and mu* = 0. The returned
+    effect is exactly feasible.
     """
-    dim = q_mat.shape[0]
+    q_mat = np.asarray(q_mat)
+    stack = q_mat if q_mat.ndim == 3 else q_mat[None]
+    n, dim = stack.shape[:2]
+    if not dim:
+        return np.zeros(q_mat.shape, dtype=complex)
     r_val, r_vec = np.linalg.eigh(r_mat)
-    r_max = float(r_val[-1]) if dim else 0.0
+    r_max = float(r_val[-1])
     if r_max > 0.0:
-        w, u, ru = _dual_minimizer(q_mat, r_mat, beta, r_val, r_vec)
+        w, u, ru = _dual_minimizer(stack, r_mat, beta, r_val, r_vec)
     else:
-        w, u, ru = _eig_shifted(q_mat, r_mat, 0.0)
-    costs = np.real(np.diagonal(ru))
-    p_out = np.zeros((dim, dim), dtype=complex)
-    budget_left = beta
+        w, u, ru = _eig_shifted(stack, r_mat, np.zeros(n))
+    costs = ru.diagonal(0, 1, 2).real
     free = costs <= 1e-12 * r_max
-    for k in range(dim):  # zero-cost directions: include iff they add profit
-        if free[k] and w[k] > 1e-14:
-            p_out += np.outer(u[:, k], u[:, k].conj())
-            budget_left -= costs[k]
-    paying = [k for k in range(dim) if not free[k]]
-    paying.sort(key=lambda k: w[k] / costs[k], reverse=True)
-    for k in paying:
-        c = min(1.0, budget_left / costs[k])
-        if c <= 0.0:
-            break
-        p_out += c * np.outer(u[:, k], u[:, k].conj())
-        budget_left -= c * costs[k]
-    return p_out
+    priced = np.where(free, 1.0, costs)
+    # zero-cost directions first, in index order; then by profit-to-cost
+    order = np.argsort(np.where(free, -np.inf, -(w / priced)), axis=1, kind="stable")
+    by_rank = np.arange(n)[:, None], order
+    gainful = 1.0 * (w > 1e-14)[by_rank]
+    costs, free, priced = costs[by_rank], free[by_rank], priced[by_rank]
+    coef = np.empty((n, dim))
+    budget_left = np.full(n, float(beta))
+    filling = np.ones(n, dtype=bool)
+    for k in range(dim):
+        c = np.where(free[:, k], gainful[:, k], np.minimum(1.0, budget_left / priced[:, k]))
+        filling &= free[:, k] | (c > 0.0)  # a paying direction out of budget ends the fill
+        coef[:, k] = c * filling
+        budget_left -= coef[:, k] * costs[:, k]
+    vecs = u.swapaxes(1, 2)[by_rank]  # eigenvectors as rows, in fill order
+    terms = coef[:, :, None, None] * (vecs[:, :, :, None] * vecs[:, :, None, :].conj())
+    p_out = np.add.accumulate(terms, axis=1, dtype=complex)[:, -1]  # in fill order
+    return p_out if q_mat.ndim == 3 else p_out[0]
 
 
 def _boxed_linear_opt(q_mat: np.ndarray, r_mat: np.ndarray, upper: np.ndarray,
@@ -644,7 +700,11 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int]) -> flo
     kernel, and the best P for fixed W is a one-multiplier linear program.
     Every step is monotone, so the best value seen is attained by a valid
     equiprobable measurement. The starts are the ME split of the measured
-    marginal and _ASCENT_STARTS seeded random effects.
+    marginal and _ASCENT_STARTS seeded random effects, and they ascend in
+    lock-step as one stack: each round is one stacked eigh for the signs,
+    one stacked linear program and one stacked trace norm, whose kernels are
+    the next round's eigh input. A start leaves the stack after three rounds
+    without a gain above 1e-14, and after 60 rounds at the latest.
     """
     mat, d_meas, d_rest = _bipartition(state, measured)
     tensor = mat.reshape(d_meas, d_rest, d_meas, d_rest)
@@ -652,48 +712,43 @@ def _two_output_me_general(state: DensityMatrix, measured: Sequence[int]) -> flo
     rho_meas = 0.5 * (rho_meas + rho_meas.conj().T)
     eye = np.eye(d_meas)
 
-    def kernel(x: np.ndarray) -> np.ndarray:
-        out = _conditional_kernel(mat, d_meas, d_rest, x)
-        return 0.5 * (out + out.conj().T)
+    def kernel(p_eff: np.ndarray) -> np.ndarray:
+        out = _conditional_kernel(mat, d_meas, d_rest, 2.0 * p_eff - eye)
+        return 0.5 * (out + out.conj().swapaxes(1, 2))
 
     def adjoint(w_op: np.ndarray) -> np.ndarray:
-        out = np.einsum("arbs,rs->ab", tensor, w_op.conj())
-        return 0.5 * (out + out.conj().T)
-
-    def objective(p_eff: np.ndarray) -> float:
-        return 0.5 * trace_norm(kernel(2.0 * p_eff - eye))
-
-    def ascend(p_eff: np.ndarray) -> float:
-        best = objective(p_eff)
-        stall = 0
-        for _ in range(60):
-            m_ker = kernel(2.0 * p_eff - eye)
-            w, u = np.linalg.eigh(m_ker)
-            w_op = (u * np.sign(w)) @ u.conj().T
-            p_eff = _capped_linear_opt(adjoint(w_op), rho_meas, 0.5)
-            val = objective(p_eff)
-            if val > best + 1e-14:
-                best, stall = val, 0
-            else:
-                stall += 1
-                if stall >= 3:
-                    break
-        return best
+        out = np.einsum("arbs,krs->kab", tensor, w_op.conj())
+        return 0.5 * (out + out.conj().swapaxes(1, 2))
 
     rng = np.random.default_rng(0)
-    starts = []
+    gs = [rng.normal(size=(d_meas, d_meas)) + 1j * rng.normal(size=(d_meas, d_meas))
+          for _ in range(_ASCENT_STARTS)]
+    starts = _capped_linear_opt(np.stack([0.5 * (g + g.conj().T) for g in gs]), rho_meas, 0.5)
     try:
         seed_povm = construct_me_povm(
             DensityMatrix(matrix=rho_meas, dims=(d_meas,), _skip_checks=True), 2
         )
-        starts.append(np.asarray(seed_povm.effects[0]))
+        starts = np.concatenate([np.asarray(seed_povm.effects[0])[None], starts])
     except DegenerateSplitError:
         pass
-    for _ in range(_ASCENT_STARTS):
-        g = rng.normal(size=(d_meas, d_meas)) + 1j * rng.normal(size=(d_meas, d_meas))
-        starts.append(_capped_linear_opt(0.5 * (g + g.conj().T), rho_meas, 0.5))
 
-    return max(ascend(p0) for p0 in starts)
+    kernels = kernel(starts)
+    best = 0.5 * trace_norm(kernels)
+    stall = np.zeros(len(best), dtype=int)
+    active = np.arange(len(best))
+    for _ in range(60):
+        w, u = np.linalg.eigh(kernels[active])
+        w_op = (u * np.sign(w)[:, None, :]) @ u.conj().swapaxes(1, 2)
+        new = kernel(_capped_linear_opt(adjoint(w_op), rho_meas, 0.5))
+        kernels[active] = new
+        val = 0.5 * trace_norm(new)
+        gain = val > best[active] + 1e-14
+        best[active[gain]] = val[gain]
+        stall[active] = np.where(gain, 0, stall[active] + 1)
+        active = active[stall[active] < 3]
+        if not active.size:
+            break
+    return float(best.max())
 
 
 def _is_flag_diagonal(state: DensityMatrix) -> bool:
@@ -725,11 +780,9 @@ def _two_output_me_flag_exact(state: DensityMatrix) -> float:
     diff = 0.5 * ((b0 - b1) + (b0 - b1).conj().T)
     tot = 0.5 * ((b0 + b1) + (b0 + b1).conj().T)
 
-    def branch(sign: float) -> float:
-        p_eff = _capped_linear_opt(sign * diff, tot, 0.5)
-        return sign * (float(np.trace(diff @ p_eff).real) + 0.5 - p0)
-
-    return max(branch(1.0), branch(-1.0), 0.0)
+    p_effs = _capped_linear_opt(np.array([1.0, -1.0])[:, None, None] * diff, tot, 0.5)
+    return max(*(sign * (float(np.trace(diff @ p_eff).real) + 0.5 - p0)
+                 for sign, p_eff in zip((1.0, -1.0), p_effs)), 0.0)
 
 
 def _two_output_me(state: DensityMatrix, measured: tuple[int, ...]) -> float:
@@ -833,8 +886,8 @@ def correlation_C_general(state: DensityMatrix, max_outputs: int = 2) -> float:
     - measuring opposite a far side of dimension d_far with 2 d_far <= n: at
       most d_far/n - 1/2 <= 0 <= C2.
     """
-    if max_outputs < 2 or max_outputs > 4:
-        raise DimensionMismatchError("max_outputs must be between 2 and 4")
+    if not isinstance(max_outputs, (int, np.integer)) or not 2 <= max_outputs <= 4:
+        raise DimensionMismatchError("max_outputs must be an integer between 2 and 4")
     best = correlation_C2(state)
     flaggy = _is_flag_diagonal(state)
     # Measuring a uniform classical flag (p0 = 1/2) with n >= 3 outputs never

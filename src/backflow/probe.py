@@ -167,7 +167,7 @@ def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) ->
     earliest seed. Raises ExpansionNotFoundError, with the best ratio and
     direction seen, when no seed grows the trace norm by more than 1e-10.
     """
-    if ancilla_dim not in _ANCILLA_DIMS:
+    if not isinstance(ancilla_dim, (int, np.integer)) or ancilla_dim not in _ANCILLA_DIMS:
         raise DimensionMismatchError("the ancilla A' has two or three levels")
     ext = ExtendedChannel(ch, (ancilla_dim,))
     seeds = _traceless(_seeds(ch, ancilla_dim))

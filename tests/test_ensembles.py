@@ -745,6 +745,11 @@ class TestCorrelationGeneral:
         with pytest.raises(DimensionMismatchError):
             correlation_C_general(bell, max_outputs=5)
 
+    @pytest.mark.parametrize("count", [3.5, 3.0, "3"])
+    def test_non_integral_count_rejected(self, count):
+        with pytest.raises(DimensionMismatchError):
+            correlation_C_general(max_entangled_state(), count)
+
     def test_two_outputs_equals_c2(self):
         rng = np.random.default_rng(14)
         rho_a = as_matrix(random_density_matrix(rng, 2))
@@ -1098,6 +1103,173 @@ class TestCappedLinearOpt:
         r = np.diag([0.5, 0.0, 0.5]).astype(complex)
         for beta in (0.1, 0.3, 0.6, 0.9):
             self._check_optimal(q, r, beta)
+
+
+# (dims, measured side) of the general-ascent states in the bit-identity table
+_GENERAL_CASES = [((2, 3), (1,)), ((3, 2), (0,)), ((3, 3), (1,)), ((3, 3), (0,)),
+                  ((2, 2, 2), (1, 2)), ((2, 4), (1,))]
+
+
+def _lp_caller_runs() -> list[tuple[str, object]]:
+    """(label, thunk) for every seeded call of the bit-identity table."""
+    import backflow as bf
+
+    runs = []
+    for c, (dims, side) in enumerate(_GENERAL_CASES):
+        rng = np.random.default_rng(2600 + c)
+        for k in range(5):
+            state = DensityMatrix(as_matrix(random_density_matrix(rng, int(np.prod(dims)))), dims)
+            runs.append((f"general {dims} {side} #{k}",
+                         lambda s=state, m=side: ensembles._two_output_me_general(s, m)))
+    # the measured qutrit has a rank-2 marginal: R has a kernel
+    rng = np.random.default_rng(2610)
+    support = [0, 1, 3, 4]  # qubit (x) span{|0>, |1>}
+    for k in range(2):
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[np.ix_(support, support)] = as_matrix(random_density_matrix(rng, 4))
+        state = DensityMatrix(mat, (2, 3))
+        runs.append((f"general rank-2 marginal #{k}",
+                     lambda s=state: ensembles._two_output_me_general(s, (1,))))
+    probes = [(bf.eternal_rates(), 0.8, 0.5, 2, 1.1), (bf.eternal_rates(), 1.2, 0.4, 3, 0.9),
+              (bf.constant_rates(1.0, 1.0, -3.0), 0.3, 0.25, 2, 0.45),
+              (bf.constant_rates(1.0, 1.0, -3.0), 0.2, 0.3, 3, 0.5)]
+    for k, (rates, tau, dt, anc, t) in enumerate(probes):
+        ch = bf.intermediate_map(rates, tau, tau + dt)
+        direction = bf.trace_norm_expansion_direction(ch, ancilla_dim=anc)
+        probe = bf.build_probe_state(bf.pull_back_pair(direction, rates, tau, epsilon=0.05))
+        state = bf.evolve_probe(probe, rates, t).matrix
+        runs.append((f"flag exact probe #{k}",
+                     lambda s=state: ensembles._two_output_me_flag_exact(s)))
+    state = DensityMatrix(as_matrix(random_density_matrix(np.random.default_rng(6), 4)), (2, 2))
+    for side in (0, 1):
+        runs.append((f"seesaw side {side}",
+                     lambda m=side: ensembles._n_output_me_pg(state, (m,), 3)))
+    return runs
+
+
+
+# float.hex of every _lp_caller_runs value, recorded with the one-matrix-at-a-time
+# capped program that the stacked one replaced; the stack must keep every bit
+_LP_CALLER_HEX = [
+    ('general (2, 3) (1,) #0', '0x1.b831c8430ccbcp-3'),
+    ('general (2, 3) (1,) #1', '0x1.0d2a522d8bb52p-2'),
+    ('general (2, 3) (1,) #2', '0x1.15aad792a3282p-2'),
+    ('general (2, 3) (1,) #3', '0x1.0a65caa148efdp-2'),
+    ('general (2, 3) (1,) #4', '0x1.dc00468c63929p-3'),
+    ('general (3, 2) (0,) #0', '0x1.5a4cf64d51bfcp-3'),
+    ('general (3, 2) (0,) #1', '0x1.002d72f578c0ap-2'),
+    ('general (3, 2) (0,) #2', '0x1.d89c3d95e7a36p-3'),
+    ('general (3, 2) (0,) #3', '0x1.587592d499ca6p-2'),
+    ('general (3, 2) (0,) #4', '0x1.fdfd0314f64acp-3'),
+    ('general (3, 3) (1,) #0', '0x1.dbf6376be16ddp-3'),
+    ('general (3, 3) (1,) #1', '0x1.8d930d986a8abp-3'),
+    ('general (3, 3) (1,) #2', '0x1.d4bb2a70d09bap-3'),
+    ('general (3, 3) (1,) #3', '0x1.d60525d33ac0ep-3'),
+    ('general (3, 3) (1,) #4', '0x1.a3cdddf8cd842p-3'),
+    ('general (3, 3) (0,) #0', '0x1.a7f1733fcf53dp-3'),
+    ('general (3, 3) (0,) #1', '0x1.7bcc4fb09996fp-3'),
+    ('general (3, 3) (0,) #2', '0x1.8796b98c1f862p-3'),
+    ('general (3, 3) (0,) #3', '0x1.82aa04b5bb0f5p-3'),
+    ('general (3, 3) (0,) #4', '0x1.75294dd7ea2fbp-3'),
+    ('general (2, 2, 2) (1, 2) #0', '0x1.bdf1aef7da248p-3'),
+    ('general (2, 2, 2) (1, 2) #1', '0x1.c74f77e2b5c77p-3'),
+    ('general (2, 2, 2) (1, 2) #2', '0x1.1912662a9210cp-2'),
+    ('general (2, 2, 2) (1, 2) #3', '0x1.ac61e79062fefp-3'),
+    ('general (2, 2, 2) (1, 2) #4', '0x1.a5f250b469e0ap-3'),
+    ('general (2, 4) (1,) #0', '0x1.b0cb515aa64c8p-3'),
+    ('general (2, 4) (1,) #1', '0x1.10398ff610b08p-2'),
+    ('general (2, 4) (1,) #2', '0x1.9c63c5041eff8p-3'),
+    ('general (2, 4) (1,) #3', '0x1.06a83add93282p-2'),
+    ('general (2, 4) (1,) #4', '0x1.0d90130d55eb3p-2'),
+    ('general rank-2 marginal #0', '0x1.d206d42065538p-3'),
+    ('general rank-2 marginal #1', '0x1.15ccdf8e124e8p-2'),
+    ('flag exact probe #0', '0x1.444cb70be6d40p-7'),
+    ('flag exact probe #1', '0x1.0ed360f973b80p-8'),
+    ('flag exact probe #2', '0x1.adb8ec899bb08p-5'),
+    ('flag exact probe #3', '0x1.0b2221636a190p-5'),
+    ('seesaw side 0', '0x1.0bf49acf8ca12p-1'),
+    ('seesaw side 1', '0x1.0bbace2f52126p-1'),
+]
+
+
+class TestLpCallersBitIdentity:
+    def test_values_keep_recorded_bits(self):
+        got = [(label, float(run()).hex()) for label, run in _lp_caller_runs()]
+        assert got == _LP_CALLER_HEX
+
+
+def _hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+class TestCappedStack:
+    """A (n, d, d) stack of Q against one R: each member as if solved alone."""
+
+    @staticmethod
+    def _check(qs, r, beta):
+        stacked = ensembles._capped_linear_opt(np.stack(qs), r, beta)
+        assert stacked.shape == (len(qs),) + r.shape
+        for q, p_eff in zip(qs, stacked):
+            assert np.array_equal(p_eff, ensembles._capped_linear_opt(q, r, beta))
+            w = np.linalg.eigvalsh(0.5 * (p_eff + p_eff.conj().T))
+            assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+            assert abs(np.trace(r @ p_eff).real - beta) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_random_full_rank_cost(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        r = as_matrix(random_density_matrix(rng, dim))
+        qs = [10.0 ** rng.uniform(-2.0, 2.0) * _hermitian(rng, dim) for _ in range(8)]
+        self._check(qs, r, float(rng.uniform(0.1, 0.9)))
+
+    def test_members_in_different_kink_pieces(self):
+        """R = diag(0.6, 0.3, 0.1), beta = 1/2: mu* at each of the three kinks, and inside a piece.
+
+        The fill takes directions by q_i / r_i: diag(1, 0, 0) spends the
+        budget on |0> alone (the largest kink), diag(0.1, 0.2, 1) ends on
+        |0> after |2> and |1> (the smallest kink), diag(0.5, 0.2, 1) ends
+        on |0> after |2> (the middle kink); random Q sit inside a piece.
+        """
+        rng = np.random.default_rng(9)
+        r = np.diag([0.6, 0.3, 0.1]).astype(complex)
+        diagonals = ([1.0, 0.0, 0.0], [0.1, 0.2, 1.0], [0.5, 0.2, 1.0])
+        qs = [np.diag(q).astype(complex) for q in diagonals]
+        qs += [_hermitian(rng, 3) for _ in range(3)]
+        self._check(qs, r, 0.5)
+
+    def test_cost_with_kernel_and_coupling(self):
+        """R = diag(1/2, 0, 1/2): uncoupled, coupled and random members in one stack.
+
+        The members reach different kink counts: the coupled one keeps a
+        kink only from |2> (see TestCappedLinearOpt.test_singular_kernel_block).
+        """
+        rng = np.random.default_rng(10)
+        r = np.diag([0.5, 0.0, 0.5]).astype(complex)
+        qs = [np.array([[0.3, c, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 0.7]], dtype=complex)
+              for c in (0.0, 1.0)]
+        qs += [_hermitian(rng, 3) for _ in range(4)]
+        for beta in (0.1, 0.3, 0.6, 0.9):
+            self._check(qs, r, beta)
+
+    def test_rank_deficient_cost(self):
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        r = h @ h.conj().T
+        r /= np.trace(r).real
+        self._check([_hermitian(rng, 4) for _ in range(6)], r, 0.4)
+
+    def test_free_directions(self):
+        """R = diag(1, 0, 0): |1> and |2> cost nothing and are taken iff they add profit."""
+        rng = np.random.default_rng(12)
+        r = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        qs = [np.diag(q).astype(complex) for q in ([1.0, 0.5, -0.5], [-1.0, -0.5, 0.2])]
+        qs += [_hermitian(rng, 3) for _ in range(3)]
+        self._check(qs, r, 0.5)
+
+    def test_zero_cost(self):
+        rng = np.random.default_rng(13)
+        self._check([_hermitian(rng, 3) for _ in range(4)], np.zeros((3, 3), dtype=complex), 0.0)
 
 
 class TestScipyForwarders:

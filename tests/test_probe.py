@@ -269,6 +269,12 @@ class TestExpansionDirection:
         with pytest.raises(DimensionMismatchError):
             trace_norm_expansion_direction(ch, ancilla_dim=4)
 
+    @pytest.mark.parametrize("ancilla_dim", [2.0, 3.0, 2.5])
+    def test_non_integral_ancilla_dim_rejected(self, ancilla_dim):
+        ch = intermediate_map(ETERNAL, 0.5, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            trace_norm_expansion_direction(ch, ancilla_dim)
+
     @pytest.mark.parametrize("ancilla_dim", [2, 3])
     def test_cached_seeds_match_per_call_construction(self, ancilla_dim):
         rng = np.random.default_rng(11)
@@ -632,6 +638,35 @@ class TestRandomDynamics:
                 assert not report.inconclusive, point
                 detected.append(report.backflow_detected)
         assert any(detected) and not all(detected)
+
+
+class TestSeparableNearProductProbes:
+    """The paper's claim about its probes: separable, and as close to a product as asked.
+
+    Conclusiveness is not asserted: at epsilon = 1e-14 some points are
+    inconclusive, because the gain is read from a pair formed in floating
+    point around 1/d.
+    """
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-14])
+    def test_detected_points(self, epsilon):
+        presets = [ETERNAL, constant_rates(1.0, 1.0, -3.0), constant_rates(1.0, 1.0, -0.3)]
+        intervals = [(0.2, 0.3), (0.5, 0.5), (1.0, 0.2), (1.5, 0.6), (0.05, 0.8),
+                     (GAP_TAU, GAP_DT)]
+        ancillas = []
+        for rates in presets:
+            for report in scan_backflow_grid(rates, intervals, epsilon):
+                if not report.backflow_detected:
+                    continue
+                pair = report.pair
+                ancillas.append(pair.rho1_0.dims[0])
+                for rho in (pair.rho1_0, pair.rho2_0):  # 2x2 or 3x2: PPT decides separability
+                    transposed = partial_transpose(rho.matrix, rho.dims, 1)
+                    assert np.linalg.eigvalsh(transposed)[0] >= -1e-12
+                probe_mat = build_probe_state(pair).matrix.matrix
+                product = np.eye(len(probe_mat)) / len(probe_mat)  # (1/2) 1_flag (x) 1/d
+                assert 0.5 * trace_norm(probe_mat - product) <= 0.5 * epsilon + 1e-12
+        assert set(ancillas) == {2, 3}
 
 
 @pytest.fixture(scope="module")
