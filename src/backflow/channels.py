@@ -282,6 +282,13 @@ class ExtendedChannel:
     Summed in this order it rounds exactly like the Kronecker-lifted
     sum_mu q_mu (1 (x) sigma_mu) M (1 (x) sigma_mu)^dagger.
 
+    The signs of S are folded into the weights once, at construction: apply
+    multiplies F by q_y S and B by q_z S. S holds only +1 and -1, so q_y S
+    is q_y with its sign flipped where S is -1, exactly, and (q_y S) F
+    rounds like q_y (F.S): both are the one rounding of +-q_y times an entry
+    of F (only an entry that is zero in all four terms may come out as the
+    other signed zero). A call costs four products and three sums.
+
     apply also takes a stack (..., dim, dim) and maps each matrix; the kernel
     is elementwise, so apply(stack)[i] equals apply(stack[i]) bit for bit.
     """
@@ -292,7 +299,8 @@ class ExtendedChannel:
         anc = int(np.prod(self.ancilla_dims)) if self.ancilla_dims else 1
         self.dim = anc * 2
         self._block_shape = (anc, 2, anc, 2)
-        self._weights = ch.mixing_weights()
+        q0, qx, qy, qz = ch.mixing_weights()
+        self._weights = (q0, qx, qy * _SIGN_Z, qz * _SIGN_Z)
 
     def apply(self, operator) -> np.ndarray:
         mat = as_matrix(operator)
@@ -300,10 +308,10 @@ class ExtendedChannel:
             raise DimensionMismatchError(
                 f"expected shape (..., {self.dim}, {self.dim}), got {mat.shape}"
             )
-        q0, qx, qy, qz = self._weights
+        q0, qx, wy, wz = self._weights
         blocks = mat.reshape(mat.shape[:-2] + self._block_shape)
         flip = blocks[..., ::-1, :, ::-1]
-        out = q0 * blocks + qx * flip + qy * (flip * _SIGN_Z) + qz * (blocks * _SIGN_Z)
+        out = q0 * blocks + qx * flip + wy * flip + wz * blocks
         return out.reshape(mat.shape)
 
     def apply_state(self, state: DensityMatrix) -> DensityMatrix:

@@ -147,5 +147,11 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())) > HERMITICITY_TOL:
         raise NotHermitianError("trace_norm is implemented for Hermitian matrices only")
-    norms = np.abs(np.linalg.eigvalsh(matrix)).sum(axis=-1)
+    norms = _abs_eig_sum(matrix)
     return float(norms) if matrix.ndim == 2 else norms
+
+
+def _abs_eig_sum(matrix: np.ndarray) -> np.ndarray:
+    """trace_norm's arithmetic without its check, for a complex Hermitian stack
+    the caller built Hermitian; eigvalsh reads only the lower triangle."""
+    return np.abs(np.linalg.eigvalsh(matrix)).sum(axis=-1)

@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import linalg
 from .channels import (
     ExtendedChannel,
     PauliChannelMap,
@@ -37,6 +38,7 @@ from .errors import (
     EpsilonRangeError,
     ExpansionNotFoundError,
     InvalidStateError,
+    NonFiniteError,
     ScaleUnderflowError,
     TimeOrderViolationError,
 )
@@ -102,18 +104,25 @@ class BackflowReport:
     pair: ProbePair | None = field(default=None, compare=False, repr=False)
 
 
+@functools.cache  # read-only, shared by every caller
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def _traceless(mat: np.ndarray) -> np.ndarray:
     """Remove the trace of each matrix in a (..., n, n) stack."""
     n = mat.shape[-1]
     shift = np.trace(mat, axis1=-2, axis2=-1) / n
-    return mat - shift[..., None, None] * np.eye(n, dtype=complex)
+    return mat - shift[..., None, None] * _identity(n)
 
 
 def _block_seed(top: np.ndarray) -> np.ndarray:
     """(top (+) -I/2)/2 on (A' = qutrit)(x)S; top = Phi+ expands by the Choi negativity."""
     seed = np.zeros((6, 6), dtype=complex)
     seed[:4, :4] = 0.5 * top
-    seed[4:, 4:] = -0.25 * np.eye(2, dtype=complex)
+    seed[4:, 4:] = -0.25 * _identity(2)
     return seed
 
 
@@ -122,7 +131,7 @@ def _fixed_seeds(ancilla_dim: int) -> np.ndarray:
     """_seeds with its channel-dependent slots (1 and 2 for a qubit A', 1 for a qutrit) zero."""
     dim = 2 * ancilla_dim
     seeds = np.zeros((7, dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    eye = _identity(dim)
     if ancilla_dim == 2:
         seeds[0] = PHI_PLUS - eye / 4.0
     else:
@@ -145,8 +154,8 @@ def _seeds(ch: PauliChannelMap, ancilla_dim: int) -> np.ndarray:
     seeds = _fixed_seeds(ancilla_dim).copy()
     if ancilla_dim == 2:
         tau_local = chi_proj.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # Tr_A' |chi><chi|
-        seeds[1] = PHI_PLUS - 0.5 * np.kron(np.eye(2, dtype=complex), tau_local)
-        seeds[2] = chi_proj - np.eye(4, dtype=complex) / 4.0
+        seeds[1] = PHI_PLUS - 0.5 * np.kron(_identity(2), tau_local)
+        seeds[2] = chi_proj - _identity(4) / 4.0
     else:
         seeds[1] = _block_seed(chi_proj)
     return seeds
@@ -160,8 +169,13 @@ def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) ->
     the (self-dual) map, and move to the best rank-two difference. The seven
     seeds ascend together as one (k, d, d) stack: each step takes one
     stacked eigh for the sign operators, one for the witnesses and one
-    stacked trace norm for the candidates, whose images carry over to the
-    next step. A seed leaves the stack once its step gains no more than
+    stacked eigvalsh for the trace norms of the candidates, whose images
+    carry over to the next step. Those images are Hermitian by construction
+    (real Pauli weights on 0.5 (t t^dagger - b b^dagger)), so the step skips
+    trace_norm's Hermiticity check; two map applications and a few
+    elementwise products make up the rest of its cost. The stack stays
+    compact: it is gathered again only on a step where some seed stops
+    gaining. A seed leaves the stack once its step gains no more than
     1e-14, and after 300 steps at the latest. The value is monotone along
     the iteration, so the search never loses its seed; ties go to the
     earliest seed. Raises ExpansionNotFoundError, with the best ratio and
@@ -177,9 +191,10 @@ def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) ->
     images = ext.apply(deltas)
     values = trace_norm(images)
 
-    active = np.arange(len(deltas))
+    # the still-gaining seeds, in seed order: their indices and current state
+    active, act_deltas, act_images, act_values = np.arange(len(deltas)), deltas, images, values
     for _ in range(_ASCENT_STEPS):
-        w, u = np.linalg.eigh(images[active])
+        w, u = np.linalg.eigh(act_images)
         sign_ops = (u * np.sign(w)[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
         witnesses = _traceless(ext.apply(sign_ops))  # self-dual map
         _, wu = np.linalg.eigh(witnesses)
@@ -189,14 +204,18 @@ def trace_norm_expansion_direction(ch: PauliChannelMap, ancilla_dim: int = 2) ->
             - bottom[:, :, None] * bottom[:, None, :].conj()
         )
         candidate_images = ext.apply(candidates)
-        candidate_values = trace_norm(candidate_images)
-        gain = candidate_values > values[active] + 1e-14
-        active = active[gain]
-        if active.size == 0:
-            break
-        deltas[active] = candidates[gain]
-        images[active] = candidate_images[gain]
-        values[active] = candidate_values[gain]
+        candidate_values = linalg._abs_eig_sum(candidate_images)
+        gain = candidate_values > act_values + 1e-14
+        if not gain.all():
+            deltas[active], values[active] = act_deltas, act_values
+            if not gain.any():
+                break
+            active = active[gain]
+            candidates, candidate_images = candidates[gain], candidate_images[gain]
+            candidate_values = candidate_values[gain]
+        act_deltas, act_images, act_values = candidates, candidate_images, candidate_values
+    else:
+        deltas[active], values[active] = act_deltas, act_values
 
     best = int(np.argmax(values))
     if values[best] <= 1.0 + _RESOLUTION:
@@ -227,12 +246,19 @@ def pull_back_pair(
     The direction is pulled back through the inverse of the accumulated
     dynamics, scaled to trace distance epsilon in (0, 1] around the maximally
     mixed state 1/d, and shrunk geometrically (factor 1/2, at most 60 steps)
-    until both ends are states.
+    until both ends are states. A direction with a non-finite entry raises
+    NonFiniteError, and one whose trace exceeds 1e-12 times its trace norm
+    InvalidStateError: its two ends would miss unit trace, which shrinking
+    would only hide under the state check's tolerance.
     """
     _check_epsilon(epsilon)
     delta_tau = np.asarray(delta_tau, dtype=complex)
     if delta_tau.shape not in [(2 * a, 2 * a) for a in _ANCILLA_DIMS]:
         raise DimensionMismatchError("expansion direction must live on A'(x)S")
+    if not np.all(np.isfinite(delta_tau)):
+        raise NonFiniteError("expansion direction has non-finite entries")
+    if abs(np.trace(delta_tau)) > 1e-12 * trace_norm(delta_tau):
+        raise InvalidStateError("expansion direction is not traceless")
     dims = (delta_tau.shape[0] // 2, 2)
     sigma = maximally_mixed(dims)
 
