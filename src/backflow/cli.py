@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -287,7 +286,7 @@ def _grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(config.t_start, config.t_end, config.steps)
 
 
-def _run_divisibility(config: ScenarioConfig, threads: int | None):
+def _run_divisibility(config: ScenarioConfig):
     grid = _grid(config)
     pairs = [(float(a), float(b)) for a, b in zip(grid[:-1], grid[1:])]
     verdicts = classify_interval(config.profile, pairs)
@@ -310,7 +309,7 @@ def _run_divisibility(config: ScenarioConfig, threads: int | None):
     return rows, EXIT_OK, ""
 
 
-def _run_backflow(config: ScenarioConfig, threads: int | None):
+def _run_backflow(config: ScenarioConfig):
     from .probe import scan_backflow_grid
 
     grid = _grid(config)
@@ -330,7 +329,7 @@ def _run_backflow(config: ScenarioConfig, threads: int | None):
     return rows, EXIT_OK, ""
 
 
-def _run_hessian(config: ScenarioConfig, threads: int | None):
+def _run_hessian(config: ScenarioConfig):
     from .mutinfo import hessian_at_stationary
 
     rows = []
@@ -348,7 +347,7 @@ def _run_hessian(config: ScenarioConfig, threads: int | None):
     return rows, EXIT_INCONSISTENT, "Hessian eigenvalues depart from the closed forms"
 
 
-def _run_mutinfo(config: ScenarioConfig, threads: int | None):
+def _run_mutinfo(config: ScenarioConfig):
     from .mutinfo import neighborhood_didt
 
     tol = config.tolerances["didt"]
@@ -356,8 +355,7 @@ def _run_mutinfo(config: ScenarioConfig, threads: int | None):
     violated = False
     for k, t in enumerate(_grid(config)):
         values = neighborhood_didt(
-            config.profile, float(t), 0.0, config.epsilon, config.samples,
-            threads=threads, seed=config.seed + k,
+            config.profile, float(t), 0.0, config.epsilon, config.samples, seed=config.seed + k,
         )
         for v in values:
             hit = bool(not np.isnan(v) and v > tol)
@@ -368,7 +366,7 @@ def _run_mutinfo(config: ScenarioConfig, threads: int | None):
     return rows, EXIT_OK, ""
 
 
-def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
+def _run_entanglement_blind(config: ScenarioConfig):
     from .entwit import scenario_entanglement_blind
 
     grid = _grid(config)
@@ -387,7 +385,7 @@ def _run_entanglement_blind(config: ScenarioConfig, threads: int | None):
     return rows, EXIT_OK, ""
 
 
-def _run_me_povm(config: ScenarioConfig, threads: int | None):
+def _run_me_povm(config: ScenarioConfig):
     state = random_density_matrix(np.random.default_rng(config.seed), 4)
     povm = construct_me_povm(state, ME_POVM_OUTPUTS)
     cert = is_me_povm(povm, state, tol=config.tolerances["uniformity"])
@@ -418,7 +416,6 @@ SCENARIOS = tuple(_SCENARIOS)
 
 def run(
     config: ScenarioConfig,
-    threads: int | None = None,
     output_dir: str | None = None,
     verbose: bool = False,
 ) -> int:
@@ -431,7 +428,7 @@ def run(
         )
     try:
         header, runner = _SCENARIOS[config.scenario]
-        rows, code, message = runner(config, threads)
+        rows, code, message = runner(config)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -465,12 +462,8 @@ def main(argv=None) -> int:
         "--output", metavar="DIR", default=None, help="directory for output files"
     )
     run_parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker threads for the mutinfo-map sample batches, at most one per "
-        "core (other scenarios run serially); 0 picks the machine default",
+        "--threads", type=int, metavar="N",
+        help="accepted and ignored; every scenario runs serially",
     )
     run_parser.add_argument("--verbose", action="store_true", help="progress to stderr")
     args = parser.parse_args(argv)
@@ -480,13 +473,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = args.threads
-    if threads is not None and threads < 0:
-        print("config error: --threads must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return run(config, threads=threads, output_dir=args.output, verbose=args.verbose)
+    return run(config, output_dir=args.output, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -118,10 +118,12 @@ def construct_me_povm(state: DensityMatrix, n_outputs: int = 2) -> Povm:
     with level j, divided by the level's mass, is the weight of level j in
     effect i. Levels with zero mass are assigned to the last effect whole.
     For two outputs this is exactly the prefix-sum construction with a single
-    fractional level at the crossing.
+    fractional level at the crossing. A count that is not an integer, or is
+    a bool, raises DegenerateSplitError like a count below two.
     """
-    if n_outputs < 2:
-        raise DegenerateSplitError("need at least two outputs")
+    integral = isinstance(n_outputs, (int, np.integer)) and not isinstance(n_outputs, bool)
+    if not integral or n_outputs < 2:
+        raise DegenerateSplitError("need an integer number of outputs, at least two")
     w, u = hermitian_eig(state.matrix)
     order = np.argsort(w)[::-1]
     lam = np.clip(w[order], 0.0, None)

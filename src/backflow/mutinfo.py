@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -273,8 +271,8 @@ def didt_batch(matrices: np.ndarray, rates: RateProfile, t: float) -> np.ndarray
     Rounding is fixed per row: the eigenvector diagonals add only the
     non-zero Pauli entries, left to right in row-major order, and the
     gradients add over eigenvalues left to right. A row's value therefore
-    does not depend on the batch it sits in or on how a batch is split
-    across threads, which keeps threaded CSV output byte-identical.
+    does not depend on the batch it sits in, so a scan of n samples is the
+    first n rows of a longer scan with the same seed.
     """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim == 2:
@@ -618,38 +616,33 @@ def neighborhood_didt(
     a_12: float,
     radius: float,
     samples: int,
-    threads: int | None = None,
+    *,
     seed: int = 0,
 ) -> np.ndarray:
     """dI/dt at each sampled neighbourhood state of the stationary state.
 
     Samples live on the coordinate 15-ball of the given radius around the
     stationary state; entries whose state leaves the interior of the state
-    set are NaN. With threads > 1 the samples are split into
-    min(threads, cores) batches evaluated in parallel; the values do not
-    depend on it. A non-finite t or radius raises NonFiniteError; a negative
-    radius, a sample count outside [1, 2**30] or a ball with no interior
-    sample, where no state is checked, raises PreconditionError.
+    set are NaN. All samples go through one didt_batch call, whose rows do
+    not depend on the batch, so the first n values equal a scan of n
+    samples. A non-finite t or radius raises NonFiniteError; a negative
+    radius, a sample count that is not an integer in [1, 2**30] or a ball
+    with no interior sample, where no state is checked, raises
+    PreconditionError.
     """
     _check_a12(a_12)
     if not math.isfinite(radius):
         raise NonFiniteError(f"radius must be finite, got {radius}")
-    if radius < 0.0 or not 1 <= samples <= 2**_SOBOL_BITS:
+    integral = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
+    if radius < 0.0 or not integral or not 1 <= samples <= 2**_SOBOL_BITS:
         raise PreconditionError(
-            f"need radius >= 0 and 1 <= samples <= 2**{_SOBOL_BITS}, "
+            f"need radius >= 0 and an integer 1 <= samples <= 2**{_SOBOL_BITS}, "
             f"got radius={radius}, samples={samples}"
         )
     center = np.zeros(15)
     center[11] = a_12  # coordinate a_12 of the 15 free entries a_1..a_15
     pts = _ball_points(center, radius, samples, seed)
-    mats = _states_from_points(pts)
-    batches = min(threads or 1, os.cpu_count() or 1)
-    if batches > 1:
-        chunks = np.array_split(mats, batches)
-        with ThreadPoolExecutor(max_workers=batches) as pool:
-            values = np.concatenate(list(pool.map(lambda c: didt_batch(c, rates, t), chunks)))
-    else:
-        values = didt_batch(mats, rates, t)
+    values = didt_batch(_states_from_points(pts), rates, t)
     if np.isnan(values).all():
         raise PreconditionError(
             f"no sampled state lies inside the state set at t={t:g}: radius={radius:g} "

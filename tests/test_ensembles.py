@@ -133,6 +133,19 @@ class TestConstructMePovm:
         with pytest.raises(DegenerateSplitError):
             construct_me_povm(maximally_mixed((2,)), n_outputs=1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True], ids=repr)
+    def test_non_integral_count_rejected(self, n):
+        # 2.5 once built three effects with probabilities 0.4, 0.4, 0.2
+        state = random_density_matrix(np.random.default_rng(0), 4)
+        with pytest.raises(DegenerateSplitError):
+            construct_me_povm(state, n)
+
+    def test_numpy_integer_count_accepted(self):
+        state = random_density_matrix(np.random.default_rng(0), 4)
+        povm = construct_me_povm(state, np.int64(3))
+        assert povm.n_outputs == 3
+        assert is_me_povm(povm, state).equiprobable
+
     def test_matches_loop_form_bit_for_bit(self):
         # a third of the states are rank-deficient, so zero-mass levels occur
         rng = np.random.default_rng(20)

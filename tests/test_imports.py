@@ -200,15 +200,13 @@ def test_every_tolerance_is_read():
 
 
 def unread_parameters(source: str) -> list[str]:
-    """`func:param` for each parameter of a public function or method never read in its body.
+    """`func:param` for each parameter of a function or method never read in its body.
 
-    `self` and `cls` are skipped. Underscore-named functions are exempt: the
-    CLI's `_SCENARIOS` table calls every scenario runner with the same
-    `(config, threads)` signature, though only `mutinfo-map` reads `threads`.
+    `self` and `cls` are skipped; underscore-named functions are checked too.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name[0] == "_":
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = node.args
         params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
@@ -236,7 +234,7 @@ def test_guard_sees_unread_parameter():
         "class A:\n    def f(self, x):\n        return 1\n"
         "def _runner(config, threads):\n    return config\n"
         "def g(a, *rest, b=0):\n    return [a for _ in rest]\n"
-    ) == ["f:x", "g:b"]
+    ) == ["_runner:threads", "f:x", "g:b"]
 
 
 def test_every_parameter_is_read():
@@ -358,9 +356,11 @@ def test_mutinfo_scenario_loads_no_scipy(tmp_path):
     }))
     code = (
         "from backflow import cli\n"
-        f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path)!r}]) == 0\n"
+        f"args = ['run', {str(config)!r}, '--output', {str(tmp_path)!r}, '--threads', '2']\n"
+        "assert cli.main(args) == 0\n"
     )
-    assert modules_after(code, "scipy") == []
+    # the ignored --threads flag starts no pool
+    assert modules_after(code, "scipy", "concurrent") == []
     assert (tmp_path / "mutinfo.csv").stat().st_size > 0
 
 

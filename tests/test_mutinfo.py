@@ -442,39 +442,16 @@ class TestNeighborhoodScan:
         assert report.violation_fraction == 0.0
         assert abs(report.max_didt) < 1e-12
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         kw = dict(radius=1e-2, samples=1024)
         base = mi.neighborhood_scan(constant_rates(1, 1, -3), 0.5, 0.1, **kw)
         again = mi.neighborhood_scan(constant_rates(1, 1, -3), 0.5, 0.1, **kw)
         assert base == again
-        args = (constant_rates(1, 1, -3), 0.5, 0.1, 1e-2, 1024)
-        assert np.array_equal(
-            mi.neighborhood_didt(*args, threads=4), mi.neighborhood_didt(*args), equal_nan=True
-        )
 
-    def test_worker_count_capped_at_cores(self, monkeypatch):
-        # a fake pool that maps serially: records the requested size, starts no thread
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(mi, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(mi.os, "cpu_count", lambda: 3)
-        args = (constant_rates(1, 1, -3), 0.5, 0.1, 1e-2, 256)
-        capped = mi.neighborhood_didt(*args, threads=100_000)
-        assert requested == [3]
-        np.testing.assert_array_equal(capped, mi.neighborhood_didt(*args))
+    def test_seed_is_keyword_only(self):
+        # the sixth positional slot once held a thread count; it must not become a seed
+        with pytest.raises(TypeError):
+            mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, 0.01, 16, 2)
 
     def test_boundary_center_rejected(self):
         with pytest.raises(BoundaryParameterError):
@@ -497,6 +474,19 @@ class TestNeighborhoodScan:
             mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, radius=radius, samples=samples)
         with pytest.raises(PreconditionError):
             mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=radius, samples=samples)
+
+    @pytest.mark.parametrize("samples", [100.5, 64.0, np.float64(64.0), True], ids=repr)
+    def test_non_integral_sample_count_rejected(self, samples):
+        with pytest.raises(PreconditionError, match="integer"):
+            mi.neighborhood_didt(eternal_rates(), 1.0, 0.0, radius=0.01, samples=samples)
+        with pytest.raises(PreconditionError, match="integer"):
+            mi.neighborhood_scan(eternal_rates(), 1.0, 0.0, radius=0.01, samples=samples)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        report = mi.neighborhood_scan(
+            eternal_rates(), 1.0, 0.05, radius=0.01, samples=np.int64(64)
+        )
+        assert report.n_valid == 64
 
     def test_radius_without_interior_state_rejected(self):
         # every sample of a radius-5 ball leaves the state set: nothing is checked
@@ -681,12 +671,19 @@ class TestBitExactKernel:
                              uncached_mutual_information_hessian(a12))
         assert not mi._SYSTEM_MARGINAL_HESSIAN.flags.writeable
 
-    def test_threads_match_serial_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(mi.os, "cpu_count", lambda: 2)  # split even on one core
-        args = (constant_rates(1.0, 1.0, -3.0), 0.5, 0.1, 0.2, 4097)
-        serial = mi.neighborhood_didt(*args, seed=3)
-        assert np.isnan(serial).any()
-        assert_same_bits(mi.neighborhood_didt(*args, threads=2, seed=3), serial)
+    def test_split_stack_matches_whole(self):
+        rates = constant_rates(1.0, 1.0, -3.0)
+        mats = einsum_states(scan_points(4097, 0.2, seed=3, a12=0.1))
+        whole = mi.didt_batch(mats, rates, 0.5)
+        assert np.isnan(whole).any() and not np.isnan(whole).all()
+        pieces = [mi.didt_batch(piece, rates, 0.5) for piece in (mats[:1], mats[1:513], mats[513:])]
+        assert_same_bits(np.concatenate(pieces), whole)
+
+    def test_shorter_scan_is_a_prefix(self):
+        args = (constant_rates(1.0, 1.0, -3.0), 0.5, 0.1, 0.2)
+        longer = mi.neighborhood_didt(*args, 4097, seed=3)
+        assert np.isnan(longer[:1024]).any()
+        assert_same_bits(mi.neighborhood_didt(*args, 1024, seed=3), longer[:1024])
 
 
 def scipy_ball_points(center, radius, n, seed):

@@ -720,15 +720,33 @@ class TestRandomDynamics:
             rates = table_rates(knots, rng.uniform(-1.5, 2.0, size=(5, 3)))
             if all(is_cp(decay_factors(rates, 0.0, float(t))) for t in grid):
                 profiles.append(rates)
+        # every detected point also carries the paper's separable, near-product probe
+        epsilon = 0.05
         detected = []
+        ancillas = set()
         for k, rates in enumerate(profiles):
             intervals = list(zip(rng.uniform(0.0, 2.0, 5), rng.uniform(0.02, 0.9, 5)))
-            for report in scan_backflow_grid(rates, intervals):
+            for report in scan_backflow_grid(rates, intervals, epsilon):
                 point = (k, report.tau, report.delta_t)
                 assert report.consistent, point
                 assert not report.inconclusive, point
                 detected.append(report.backflow_detected)
+                if report.backflow_detected:
+                    ancillas.add(assert_separable_near_product(report.pair, epsilon))
         assert any(detected) and not all(detected)
+        assert ancillas == {2, 3}
+
+
+def assert_separable_near_product(pair, epsilon):
+    """Both pulled-back states are PPT and the probe lies within epsilon/2 of
+    (1/2) 1 (x) 1/d; returns the ancilla dimension."""
+    for rho in (pair.rho1_0, pair.rho2_0):  # 2x2 or 3x2: PPT decides separability
+        transposed = partial_transpose(rho.matrix, rho.dims, 1)
+        assert np.linalg.eigvalsh(transposed)[0] >= -1e-12
+    probe_mat = build_probe_state(pair).matrix.matrix
+    product = np.eye(len(probe_mat)) / len(probe_mat)  # (1/2) 1_flag (x) 1/d
+    assert 0.5 * trace_norm(probe_mat - product) <= 0.5 * epsilon + 1e-12
+    return pair.rho1_0.dims[0]
 
 
 class TestSeparableNearProductProbes:
@@ -744,20 +762,13 @@ class TestSeparableNearProductProbes:
         presets = [ETERNAL, constant_rates(1.0, 1.0, -3.0), constant_rates(1.0, 1.0, -0.3)]
         intervals = [(0.2, 0.3), (0.5, 0.5), (1.0, 0.2), (1.5, 0.6), (0.05, 0.8),
                      (GAP_TAU, GAP_DT)]
-        ancillas = []
-        for rates in presets:
-            for report in scan_backflow_grid(rates, intervals, epsilon):
-                if not report.backflow_detected:
-                    continue
-                pair = report.pair
-                ancillas.append(pair.rho1_0.dims[0])
-                for rho in (pair.rho1_0, pair.rho2_0):  # 2x2 or 3x2: PPT decides separability
-                    transposed = partial_transpose(rho.matrix, rho.dims, 1)
-                    assert np.linalg.eigvalsh(transposed)[0] >= -1e-12
-                probe_mat = build_probe_state(pair).matrix.matrix
-                product = np.eye(len(probe_mat)) / len(probe_mat)  # (1/2) 1_flag (x) 1/d
-                assert 0.5 * trace_norm(probe_mat - product) <= 0.5 * epsilon + 1e-12
-        assert set(ancillas) == {2, 3}
+        ancillas = {
+            assert_separable_near_product(report.pair, epsilon)
+            for rates in presets
+            for report in scan_backflow_grid(rates, intervals, epsilon)
+            if report.backflow_detected
+        }
+        assert ancillas == {2, 3}
 
 
 @pytest.fixture(scope="module")
